@@ -40,11 +40,6 @@ func (o RedOp) elemOp() elem.Op {
 	panic(fmt.Sprintf("ccl: elem op for %v", o))
 }
 
-// reduceBytes is the elementwise kernel used by runCtx.reduceInto.
-func reduceBytes(op RedOp, dt Datatype, dst, src []byte, count int) {
-	elem.Reduce(op.elemOp(), dt.kind(), dst, src, count)
-}
-
 // enqueueColl registers the rank's args under the next sequence number and
 // enqueues the rank's part of the algorithm on the stream.
 func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64,
@@ -74,6 +69,7 @@ func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64
 			st.start.Wait(p)
 		}
 		run(rc, st.args[rank])
+		rc.settle()
 		if st.abortErr != nil {
 			// A transfer crossed an active network cut mid-schedule. The
 			// verdict is shared: every participant's result is void, even
@@ -256,12 +252,18 @@ func segBounds(count, n int) []int {
 }
 
 // ringAllReduce: ring reduce-scatter then ring allgather over the rank's
-// recv buffer, with credit-managed scratch for the incoming segments.
+// recv buffer, with credit-managed pipes for the incoming segments. send is
+// never copied whole into recv: step 0 ships straight from send and every
+// reduce-scatter step writes recv[seg] = send[seg] ⊕ incoming in one pass.
 func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 	a := rc.st.args[rc.rank]
 	n := rc.co.n
 	esz := int64(dt.Size())
-	rc.localCopy(a.recv, a.send, int64(count)*esz)
+	if a.recv != a.send {
+		// The staging copy the fused steps replace still costs its device
+		// time, so virtual time is that of copy-then-reduce.
+		rc.p.Sleep(rc.dev().CopyTime(int64(count) * esz))
+	}
 	bounds := rc.segs(count, n)
 	maxSeg := int64(bounds[1]-bounds[0]) * esz
 	if maxSeg == 0 {
@@ -270,21 +272,25 @@ func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 	right := (rc.rank + 1) % n
 	left := (rc.rank - 1 + n) % n
 	// Reduce-scatter: after n-1 steps rank r owns segment r fully reduced.
+	// Each segment is received once, and the one sent at step s > 0 is the
+	// one reduced at step s-1.
+	src := a.send
 	for step := 0; step < n-1; step++ {
 		sendSeg := (rc.rank - step - 1 + 2*n) % n
 		recvSeg := (rc.rank - step - 2 + 2*n) % n
 		so, sl := int64(bounds[sendSeg])*esz, int64(bounds[sendSeg+1]-bounds[sendSeg])*esz
 		ro, rl := int64(bounds[recvSeg])*esz, int64(bounds[recvSeg+1]-bounds[recvSeg])*esz
-		sent := rc.putAsync(right, rc.slice(a.recv, so, sl), sl, maxSeg)
+		sent := rc.putAsync(right, rc.slice(src, so, sl), sl, maxSeg)
 		slot, buf := rc.get(left, maxSeg)
 		if rl > 0 {
-			rc.reduceInto(op, dt, rc.slice(a.recv, ro, rl), rc.slice(buf, 0, rl), int(rl/esz))
+			rc.reduceTo(op, dt, rc.slice(a.recv, ro, rl), rc.slice(a.send, ro, rl), buf, int(rl/esz))
 		}
 		rc.release(left, slot, maxSeg)
 		sent.Wait(rc.p)
+		src = a.recv
 	}
 	// Allgather: forward segments through the same credit-managed pipes
-	// (the receiver unpacks the slot into place), so a fast sender can
+	// (the receiver copies each one into place), so a fast sender can
 	// never overwrite state a slow neighbor has not consumed yet.
 	for step := 0; step < n-1; step++ {
 		sendSeg := (rc.rank - step + n) % n
@@ -333,7 +339,8 @@ func (rc *runCtx) treeReduceInPlace(dt Datatype, op RedOp, count int, root int) 
 			child := (childRel + root) % n
 			slot, buf := rc.get(child, bytes)
 			if count > 0 {
-				rc.reduceInto(op, dt, rc.slice(rc.st.args[rc.rank].recv, 0, int64(count)*esz), rc.slice(buf, 0, int64(count)*esz), count)
+				mine := rc.slice(rc.st.args[rc.rank].recv, 0, int64(count)*esz)
+				rc.reduceTo(op, dt, mine, mine, buf, count)
 			}
 			rc.release(child, slot, bytes)
 		}
@@ -384,7 +391,7 @@ func (rc *runCtx) treeReduce(dt Datatype, op RedOp, count int, root int) {
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
 	acc := rc.dev().MustMallocScratch(bytes) // fully written by the copy below
-	defer acc.Free()
+	defer rc.freeScratch(acc)
 	rc.localCopy(acc, a.send, bytes)
 	n := rc.co.n
 	slotBytes := bytes
@@ -403,7 +410,7 @@ func (rc *runCtx) treeReduce(dt Datatype, op RedOp, count int, root int) {
 			child := (childRel + root) % n
 			slot, buf := rc.get(child, slotBytes)
 			if count > 0 {
-				rc.reduceInto(op, dt, acc.Slice(0, bytes), buf.Slice(0, bytes), count)
+				rc.reduceTo(op, dt, acc, acc, buf, count)
 			}
 			rc.release(child, slot, slotBytes)
 		}
@@ -443,32 +450,44 @@ func (rc *runCtx) ringAllGather(dt Datatype, count int) {
 	}
 }
 
-// ringReduceScatter: the reduce-scatter phase alone; rank r's reduced block
-// is copied into its recv buffer.
+// ringReduceScatter: the reduce-scatter phase alone. Step 0 ships straight
+// from send, each step writes work[seg] = send[seg] ⊕ incoming, and the last
+// step (which receives the rank's own block) writes recv directly.
 func (rc *runCtx) ringReduceScatter(dt Datatype, op RedOp, recvCount int) {
 	a := rc.st.args[rc.rank]
 	n := rc.co.n
 	esz := int64(dt.Size())
 	blk := int64(recvCount) * esz
-	work := rc.dev().MustMallocScratch(blk * int64(n)) // fully written by the copy below
-	defer work.Free()
-	rc.localCopy(work, a.send, blk*int64(n))
-	if n > 1 {
-		right := (rc.rank + 1) % n
-		left := (rc.rank - 1 + n) % n
-		slotBytes := blk
-		if slotBytes == 0 {
-			slotBytes = esz
-		}
-		for step := 0; step < n-1; step++ {
-			sendSeg := (rc.rank - step - 1 + 2*n) % n
-			recvSeg := (rc.rank - step - 2 + 2*n) % n
-			sent := rc.putAsync(right, work.Slice(int64(sendSeg)*blk, blk), blk, slotBytes)
-			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, work.Slice(int64(recvSeg)*blk, blk), buf.Slice(0, blk), recvCount)
-			rc.release(left, slot, slotBytes)
-			sent.Wait(rc.p)
-		}
+	// Device time of the staging copies the fused steps replace: send into
+	// the work buffer, and the owned block out of it (charged at the end).
+	rc.p.Sleep(rc.dev().CopyTime(blk * int64(n)))
+	if n == 1 {
+		copy(a.recv.Bytes()[:blk], a.send.Bytes()[:blk])
+		rc.p.Sleep(rc.dev().CopyTime(blk))
+		return
 	}
-	rc.localCopy(a.recv, work.Slice(int64(rc.rank)*blk, blk), blk)
+	work := rc.dev().MustMallocScratch(blk * int64(n)) // each segment written before it is sent
+	defer rc.freeScratch(work)
+	right := (rc.rank + 1) % n
+	left := (rc.rank - 1 + n) % n
+	slotBytes := blk
+	if slotBytes == 0 {
+		slotBytes = esz
+	}
+	src := a.send
+	for step := 0; step < n-1; step++ {
+		sendSeg := (rc.rank - step - 1 + 2*n) % n
+		recvSeg := (rc.rank - step - 2 + 2*n) % n
+		sent := rc.putAsync(right, src.Slice(int64(sendSeg)*blk, blk), blk, slotBytes)
+		slot, buf := rc.get(left, slotBytes)
+		dst := a.recv
+		if step < n-2 {
+			dst = work.Slice(int64(recvSeg)*blk, blk)
+		}
+		rc.reduceTo(op, dt, dst, a.send.Slice(int64(recvSeg)*blk, blk), buf, recvCount)
+		rc.release(left, slot, slotBytes)
+		sent.Wait(rc.p)
+		src = work
+	}
+	rc.p.Sleep(rc.dev().CopyTime(blk))
 }

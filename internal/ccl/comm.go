@@ -7,6 +7,7 @@ import (
 
 	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/device"
+	"mpixccl/internal/elem"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
@@ -70,6 +71,11 @@ type core struct {
 	// sim procs are serialized by the scheduler token.
 	argsFree []*opArgs
 	ctxFree  []*runCtx
+
+	// published lists, per rank, the pipes the rank has put direct-read
+	// references in since its last settle (one entry per put; the backing
+	// arrays are reused, so the list costs no steady-state allocation).
+	published [][]*pipe
 }
 
 // newArgs returns a recycled (or fresh) opArgs holding the call arguments.
@@ -262,10 +268,11 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 	}
 	co := &core{
 		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fs,
-		ops:      make(map[int]*opState),
-		p2pPost:  make(map[[2]int]*sim.Chan[*p2pSlot]),
-		putNames: make(map[[2]int]string),
-		persist:  make(map[int]*persistShared),
+		ops:       make(map[int]*opState),
+		p2pPost:   make(map[[2]int]*sim.Chan[*p2pSlot]),
+		putNames:  make(map[[2]int]string),
+		persist:   make(map[int]*persistShared),
+		published: make([][]*pipe, len(devs)),
 	}
 	for dt, ok := range cfg.Datatypes {
 		if i := int(dt); i >= 0 && i < len(co.dtOK) {
@@ -452,12 +459,17 @@ func (co *core) finish(st *opState) {
 	}
 }
 
-// pipe is a credit-managed scratch pipeline between a directed rank pair,
-// modeling NCCL's bounded FIFO buffers (NCCL_BUFFSIZE slots).
+// pipe is a credit-managed pipeline between a directed rank pair, modeling
+// NCCL's bounded FIFO buffers (NCCL_BUFFSIZE slots). A put normally stages
+// nothing: it publishes a reference to the sender's source region in
+// refs[slot] and the consumer reads the peer's memory directly (NCCL's
+// directRecv). The slot buffer holds the bytes only when they were staged
+// (see put and settle).
 type pipe struct {
 	data   *sim.Chan[int]
 	credit *sim.Chan[int]
 	slots  []*device.Buffer
+	refs   [pipeSlots]*device.Buffer // published source per slot; nil = read the slot
 }
 
 const pipeSlots = 2
@@ -523,14 +535,17 @@ func (co *core) fabOpts() fabric.Opts {
 }
 
 // xfer moves bytes between devices applying the backend's inter-node
-// penalty on cross-node hops. A hop severed by a network partition aborts
-// the sequence: the copy is skipped, the shared verdict is recorded, and
+// penalty on cross-node hops; noCopy prices the hop in full without moving
+// the bytes. A hop severed by a network partition aborts the sequence: the
+// copy is skipped, the shared verdict is recorded, false is returned, and
 // the schedule keeps draining — same-side hops still complete and the pipe
 // signaling below still fires, so every rank finishes in bounded virtual
 // time instead of stranding peers mid-collective.
-func (rc *runCtx) xfer(dst, src *device.Buffer, n int64) {
+func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 	rc.co.countXfer(n)
-	d, err := rc.co.fab.TryTransfer(rc.p, dst, src, n, rc.opts())
+	o := rc.opts()
+	o.NoCopy = noCopy
+	d, err := rc.co.fab.TryTransfer(rc.p, dst, src, n, o)
 	if err != nil {
 		if !errors.Is(err, fabric.ErrPartitioned) {
 			panic(err)
@@ -539,12 +554,13 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64) {
 		if rc.st.abortErr == nil {
 			rc.st.abortErr = rc.co.severedVerdict(rc.p.Now())
 		}
-		return
+		return false
 	}
 	pen := rc.co.cfg.InterNodePenalty
 	if pen > 1 && src.Device() != nil && dst.Device() != nil && src.Device().Node != dst.Device().Node {
 		rc.p.Sleep(time.Duration(float64(d) * (pen - 1)))
 	}
+	return true
 }
 
 // putAsync runs put on a helper process so the caller can receive
@@ -566,21 +582,39 @@ func (rc *runCtx) putAsync(to int, src *device.Buffer, n int64, slotBytes int64)
 	return done
 }
 
-// put ships n bytes from src into a scratch slot at rank "to" and signals
-// it; blocks on flow-control credits.
+// put ships n bytes from src to rank "to" and signals it; blocks on
+// flow-control credits. The hop is priced in full, but when the fabric
+// delivers verbatim no bytes move: the slot carries a reference to src,
+// which the sender must leave unchanged until the consumer takes it or
+// settle stages it. A fabric that may corrupt or verifies payloads gets
+// the bytes copied into the slot, so retransmits keep their virtual time; a
+// severed hop publishes nothing and the slot keeps its old bytes.
 func (rc *runCtx) put(to int, src *device.Buffer, n int64, slotBytes int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, slotBytes)
 	rc.p.Sleep(rc.co.cfg.StepCost)
 	slot := pp.credit.Recv(rc.p)
-	rc.xfer(rc.slice(pp.slots[slot], 0, n), src, n)
+	if rc.co.fab.Verbatim() {
+		if rc.xfer(pp.slots[slot], src, n, true) {
+			pp.refs[slot] = src
+			rc.co.published[rc.rank] = append(rc.co.published[rc.rank], pp)
+		}
+	} else {
+		rc.xfer(rc.slice(pp.slots[slot], 0, n), src, n, false)
+	}
 	pp.data.Send(rc.p, slot)
 }
 
-// get blocks until a scratch slot from rank "from" is ready and returns it;
-// the caller must release it with release.
+// get blocks until a put from rank "from" is ready and returns its slot and
+// the region to read: the sender's source (a direct read) or the staged
+// slot. The caller must read it before it next blocks — the sender is free
+// to change a taken region — and then return the credit with release.
 func (rc *runCtx) get(from int, slotBytes int64) (int, *device.Buffer) {
 	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
 	slot := pp.data.Recv(rc.p)
+	if ref := pp.refs[slot]; ref != nil {
+		pp.refs[slot] = nil
+		return slot, ref
+	}
 	return slot, pp.slots[slot]
 }
 
@@ -589,12 +623,38 @@ func (rc *runCtx) release(from, slot int, slotBytes int64) {
 	pp.credit.TrySend(slot)
 }
 
+// settle stages every reference this rank published that no consumer has
+// taken yet, copying the bytes into their slots: afterwards the rank may
+// overwrite or free its buffers while a straggling peer still has to read.
+// It runs where the sender's regions stop being stable — at the end of the
+// rank's part of an op or wave, at a compiled plan's phase boundary, and
+// before a scratch source is freed. The copy was already priced by put.
+func (rc *runCtx) settle() {
+	pub := rc.co.published[rc.rank]
+	for _, pp := range pub {
+		for i, ref := range pp.refs {
+			if ref != nil {
+				copy(pp.slots[i].Bytes(), ref.Bytes())
+				pp.refs[i] = nil
+			}
+		}
+	}
+	clear(pub)
+	rc.co.published[rc.rank] = pub[:0]
+}
+
+// freeScratch settles and frees a scratch buffer puts may have sourced.
+func (rc *runCtx) freeScratch(b *device.Buffer) {
+	rc.settle()
+	b.Free()
+}
+
 // putDirect ships n bytes straight into dst (a region of the receiving
 // rank's user buffer that is written exactly once) and signals rank "to".
 func (rc *runCtx) putDirect(to int, dst, src *device.Buffer, n int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, 1)
 	rc.p.Sleep(rc.co.cfg.StepCost)
-	rc.xfer(dst, src, n)
+	rc.xfer(dst, src, n, false)
 	pp.data.Send(rc.p, 0)
 }
 
@@ -604,9 +664,10 @@ func (rc *runCtx) waitDirect(from int) {
 	pp.data.Recv(rc.p)
 }
 
-// reduceInto combines src into dst over count elements, charging device time.
-func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src *device.Buffer, count int) {
-	reduceBytes(op, dt, dst.Bytes(), src.Bytes(), count)
+// reduceTo writes dst = a ⊕ b over count elements in one pass (dst may be
+// a), charging device time.
+func (rc *runCtx) reduceTo(op RedOp, dt Datatype, dst, a, b *device.Buffer, count int) {
+	elem.ReduceTo(op.elemOp(), dt.kind(), dst.Bytes(), a.Bytes(), b.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))
 }
 

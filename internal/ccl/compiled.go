@@ -9,8 +9,8 @@ package ccl
 // plan must use one consistently per rank pair (a pair pipe's slot size is
 // fixed at first use): direct moves write straight into the receiver's
 // buffer (compiled Alltoall/Scatter/Gather plans are all-direct), staged
-// moves ship through scratch slots and may reduce on arrival (converted
-// MSCCL schedules are all-staged).
+// moves ship through the pipes — read in place from the sender, see put —
+// and may reduce on arrival (converted MSCCL schedules are all-staged).
 //
 // Deadlock safety: every rank always drains its full program — an aborted
 // transfer (network partition) fails fast, skips the copy, and still
@@ -210,7 +210,7 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 				si, buf := rc.get(m.From, slot)
 				dst := rc.bufAt(m.DstBuf, rc.rank, m.DstOff, m.Bytes)
 				if m.Reduce {
-					rc.reduceInto(op, dt, dst, buf.Slice(0, m.Bytes), int(m.Bytes/esz))
+					rc.reduceTo(op, dt, dst, dst, buf, int(m.Bytes/esz))
 				} else {
 					copy(dst.Bytes(), buf.Bytes()[:m.Bytes])
 					rc.p.Sleep(rc.dev().CopyTime(m.Bytes))
@@ -221,6 +221,9 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 			}
 		}
 		counter.Wait(rc.p)
+		// A later phase may overwrite what this one sent, and nothing
+		// orders that after the consumer's read.
+		rc.settle()
 	}
 }
 

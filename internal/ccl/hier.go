@@ -176,7 +176,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
 			rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck)
-			rc.intraTreeReduce(locals, li, dt, op, a.recv, int64(lo)*esz, cn, slotBytes)
+			rc.intraTreeReduce(locals, li, dt, op, a.recv, a.recv, int64(lo)*esz, cn, slotBytes)
 		}
 		rc.waitAllParts()
 		for ck := 0; ck < nchunks; ck++ {
@@ -221,7 +221,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(count, ce, ck)
 		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck)
-		rc.intraTreeReduce(locals, li, dt, op, a.recv, int64(lo)*esz, cn, slotBytes)
+		rc.intraTreeReduce(locals, li, dt, op, a.recv, a.recv, int64(lo)*esz, cn, slotBytes)
 		if m > 1 {
 			ready.Send(rc.p, ck)
 		}
@@ -265,7 +265,8 @@ func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count,
 		}
 		if rl > 0 {
 			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, rc.slice(recv, ro, rl), rc.slice(buf, 0, rl), int(rl/esz))
+			seg := rc.slice(recv, ro, rl)
+			rc.reduceTo(op, dt, seg, seg, buf, int(rl/esz))
 			rc.release(left, slot, slotBytes)
 		}
 		if sent != nil {
@@ -292,11 +293,14 @@ func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count,
 	}
 }
 
-// intraTreeReduce runs a binomial reduction of buf[off:off+count·esz] over
-// the same-node rank group toward group[0]. Every rank passes its own
-// accumulation buffer; payload moves through the credit-managed pipes.
+// intraTreeReduce runs a binomial reduction of the region [off,
+// off+count·esz) over the same-node rank group toward group[0]. Every rank
+// accumulates into its own buf; src holds the rank's initial contents (buf
+// itself when already staged there), so the first child's contribution is
+// combined as buf = src ⊕ incoming and a leaf ships src untouched. Payload
+// moves through the credit-managed pipes.
 func (rc *runCtx) intraTreeReduce(group []int, idx int, dt Datatype, op RedOp,
-	buf *device.Buffer, off int64, count int, slotBytes int64) {
+	buf, src *device.Buffer, off int64, count int, slotBytes int64) {
 	n := len(group)
 	if n <= 1 || count == 0 {
 		return
@@ -304,15 +308,17 @@ func (rc *runCtx) intraTreeReduce(group []int, idx int, dt Datatype, op RedOp,
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
 	mine := rc.slice(buf, off, bytes)
+	cur := rc.slice(src, off, bytes)
 	for mask := 1; mask < n; mask <<= 1 {
 		if idx&mask != 0 {
-			rc.put(group[idx-mask], mine, bytes, slotBytes)
+			rc.put(group[idx-mask], cur, bytes, slotBytes)
 			return
 		}
 		if idx+mask < n {
 			child := group[idx+mask]
 			slot, s := rc.get(child, slotBytes)
-			rc.reduceInto(op, dt, mine, rc.slice(s, 0, bytes), count)
+			rc.reduceTo(op, dt, mine, cur, s, count)
+			cur = mine
 			rc.release(child, slot, slotBytes)
 		}
 	}
@@ -496,6 +502,9 @@ func (rc *runCtx) hierAllGatherFanIn(locals []int, li int, total int64, chunkByt
 // hierReduceScatter: chunked intra-node tree reduction of the full payload
 // into the node leader, a leader ring reduce-scatter at node block-set
 // granularity, then each leader delivers its local ranks' reduced blocks.
+// send is never staged whole: the first reduction of each region reads it
+// directly (work = send ⊕ incoming), and the leader's last ring step writes
+// its own block straight into recv.
 func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkBytes int64) {
 	hp := rc.co.hier()
 	a := rc.st.args[rc.rank]
@@ -503,9 +512,11 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	esz := int64(dt.Size())
 	blk := int64(recvCount) * esz
 	total := blk * int64(n)
-	work := rc.dev().MustMallocScratch(total) // fully written by the copy below
-	defer work.Free()
-	rc.localCopy(work, a.send, total)
+	// Device time of the staging copy of send into work the fused
+	// reductions replace.
+	rc.p.Sleep(rc.dev().CopyTime(total))
+	work := rc.dev().MustMallocScratch(total) // each region written before it is read
+	defer rc.freeScratch(work)
 
 	ni := hp.nodeIdx[rc.rank]
 	locals := hp.locals[ni]
@@ -522,43 +533,63 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	slotBytes := int64(ce) * esz
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(totalCount, ce, ck)
-		rc.intraTreeReduce(locals, li, dt, op, work, int64(lo)*esz, cn, slotBytes)
+		rc.intraTreeReduce(locals, li, dt, op, work, a.send, int64(lo)*esz, cn, slotBytes)
 	}
 
 	if li != 0 {
 		rc.waitDirect(locals[0])
 		return
 	}
+	// acc holds the leader's node-reduced payload: work after a phase-A
+	// reduction, send itself on a single-rank node.
+	acc := work
+	if len(locals) == 1 {
+		acc = a.send
+	}
 	// Phase B: ring reduce-scatter over leaders; the segments are node
 	// block-sets (one slot-pipelined put per member block, so uneven nodes
-	// exchange unequal step volumes without extra synchronization).
+	// exchange unequal step volumes without extra synchronization). The
+	// last step receives this node's block-set; the leader's own block lands
+	// in recv.
 	if m > 1 {
 		right := hp.leaders[(ni+1)%m]
 		left := hp.leaders[(ni-1+m)%m]
 		co, st, rank := rc.co, rc.st, rc.rank
+		src := acc
 		for step := 0; step < m-1; step++ {
 			sendNode := (ni - step - 1 + 2*m) % m
 			recvNode := (ni - step - 2 + 2*m) % m
 			sent := sim.NewCounter(rc.p.Kernel(), 1)
+			from := src
 			rc.p.Kernel().Spawn(co.putName(rank, right), func(p *sim.Proc) {
 				sub := co.getCtx(st, rank, p)
 				for _, r := range hp.locals[sendNode] {
-					sub.put(right, work.Slice(int64(r)*blk, blk), blk, blk)
+					sub.put(right, from.Slice(int64(r)*blk, blk), blk, blk)
 				}
 				co.putCtx(sub)
 				sent.Done()
 			})
 			for _, r := range hp.locals[recvNode] {
 				slot, buf := rc.get(left, blk)
-				rc.reduceInto(op, dt, work.Slice(int64(r)*blk, blk), buf.Slice(0, blk), recvCount)
+				dst := work.Slice(int64(r)*blk, blk)
+				if r == rc.rank {
+					dst = a.recv
+				}
+				rc.reduceTo(op, dt, dst, acc.Slice(int64(r)*blk, blk), buf, recvCount)
 				rc.release(left, slot, blk)
 			}
 			sent.Wait(rc.p)
+			src = work
 		}
 	}
 	// Phase C: deliver each local rank's reduced block.
 	for _, r := range locals[1:] {
 		rc.putDirect(r, rc.st.args[r].recv.Slice(0, blk), work.Slice(int64(r)*blk, blk), blk)
 	}
-	rc.localCopy(a.recv, work.Slice(int64(rc.rank)*blk, blk), blk)
+	// The leader's block: its copy into recv (fused into the last ring step
+	// when there is one) keeps its device time.
+	if m == 1 {
+		copy(a.recv.Bytes()[:blk], acc.Bytes()[int64(rc.rank)*blk:int64(rc.rank+1)*blk])
+	}
+	rc.p.Sleep(rc.dev().CopyTime(blk))
 }

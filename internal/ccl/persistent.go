@@ -454,6 +454,7 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 			rcMain.waitAllParts()
 			rcMain.ringAllReduce(dt, op, count)
 		}
+		rcMain.settle()
 		if st.abortErr != nil {
 			// A wave transfer crossed a network cut: the shared verdict
 			// voids every rank's result for this wave (and the handle —
@@ -508,6 +509,7 @@ func (c *Comm) BcastInit(send, recv *device.Buffer, count int, dt Datatype, root
 			} else {
 				rcMain.treeBroadcast(dt, count, root)
 			}
+			rcMain.settle()
 			if st.abortErr != nil {
 				c.raiseAsync(st.abortErr)
 			}
@@ -584,6 +586,7 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 			} else {
 				rcMain.ringAllGather(dt, count)
 			}
+			rcMain.settle()
 			if st.abortErr != nil {
 				c.raiseAsync(st.abortErr)
 			}

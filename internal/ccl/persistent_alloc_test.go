@@ -24,11 +24,18 @@ import (
 // events, sender latches, partition gate, and inter-node engine are all
 // recycled. The test measures the global malloc count across whole waves
 // (every rank parked at a barrier between reads), with GC disabled so
-// background collection cannot perturb the counter.
+// background collection cannot perturb the counter, and on one P: with
+// several, the Go runtime itself allocates at unpredictable points when a
+// rank goroutine lands on a P that has not yet hosted that work (a new
+// timer-heap slot for the background scavenger, or runtime.malg backing a
+// new M). Those objects are not the schedule's, and the simulation is
+// serialized by its scheduler token anyway, so one P measures the same
+// waves without the runtime noise.
 
 func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
 	init func(c *Comm, s *device.Stream) (*PersistentColl, error)) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const warmWaves = 3
 	const measured = 8
 	k := sim.NewKernel()

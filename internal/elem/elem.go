@@ -147,82 +147,69 @@ func clamp(v, lo, hi float64) float64 {
 }
 
 // Reduce applies dst[i] = op(dst[i], src[i]) elementwise over count
-// elements. OpMax/OpMin on C128 panic (undefined by both the MPI standard
-// and every CCL). The float32/float64 cases — the hot paths of every
-// gradient allreduce — use type-specialized loops.
+// elements. It is ReduceTo with dst as the left operand.
 func Reduce(op Op, k Kind, dst, src []byte, count int) {
+	ReduceTo(op, k, dst, dst, src, count)
+}
+
+// ReduceTo applies dst[i] = op(a[i], b[i]) elementwise over count elements
+// in one pass, bitwise equal to copying a into dst and then reducing b into
+// it. dst may alias a or b exactly (not a shifted overlap). OpMax/OpMin on
+// C128 panic (undefined by both the MPI standard and every CCL). The
+// float32/float64 cases — the hot paths of every gradient allreduce — use
+// type-specialized loops.
+func ReduceTo(op Op, k Kind, dst, a, b []byte, count int) {
 	if k == C128 && (op == OpMax || op == OpMin) {
 		panic("elem: max/min undefined for complex")
 	}
 	switch k {
 	case F32:
-		reduceF32(op, dst, src, count)
+		reduceF32(op, dst, a, b, count)
 		return
 	case F64:
-		reduceF64(op, dst, src, count)
+		reduceF64(op, dst, a, b, count)
 		return
 	}
 	for i := 0; i < count; i++ {
-		dre, dim := Get(k, dst, i)
-		sre, sim := Get(k, src, i)
+		are, aim := Get(k, a, i)
+		bre, bim := Get(k, b, i)
 		var re, im float64
 		switch op {
 		case OpSum:
-			re, im = dre+sre, dim+sim
+			re, im = are+bre, aim+bim
 		case OpProd:
 			if k == C128 {
-				re = dre*sre - dim*sim
-				im = dre*sim + dim*sre
+				re = are*bre - aim*bim
+				im = are*bim + aim*bre
 			} else {
-				re = dre * sre
+				re = are * bre
 			}
 		case OpMax:
-			re = dre
-			if sre > dre {
-				re = sre
+			re = are
+			if bre > are {
+				re = bre
 			}
 		case OpMin:
-			re = dre
-			if sre < dre {
-				re = sre
+			re = are
+			if bre < are {
+				re = bre
 			}
 		}
 		Set(k, dst, i, re, im)
 	}
 }
 
-func reduceF32(op Op, dst, src []byte, count int) {
-	// Fast path: operate on typed views with the operator switch hoisted out
-	// of the loop. This is the single hottest compute kernel of every
-	// gradient allreduce.
-	if d, s := f32view(dst, count), f32view(src, count); d != nil && s != nil {
-		switch op {
-		case OpSum:
-			for i, v := range s {
-				d[i] += v
-			}
-		case OpProd:
-			for i, v := range s {
-				d[i] *= v
-			}
-		case OpMax:
-			for i, v := range s {
-				if v > d[i] {
-					d[i] = v
-				}
-			}
-		case OpMin:
-			for i, v := range s {
-				if v < d[i] {
-					d[i] = v
-				}
-			}
-		}
+func reduceF32(op Op, dst, a, b []byte, count int) {
+	// Fast path: typed views with the operator switch hoisted out of the
+	// loop. This is the single hottest compute kernel of every gradient
+	// allreduce.
+	if d, x, y := f32view(dst, count), f32view(a, count), f32view(b, count); d != nil && x != nil && y != nil {
+		reduceTyped(op, d, x, y)
 		return
 	}
 	for i := 0; i < count; i++ {
-		d := math.Float32frombits(binary.LittleEndian.Uint32(dst[i*4:]))
-		s := math.Float32frombits(binary.LittleEndian.Uint32(src[i*4:]))
+		d := math.Float32frombits(binary.LittleEndian.Uint32(a[i*4:]))
+		s := math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
 		switch op {
 		case OpSum:
 			d += s
@@ -241,35 +228,14 @@ func reduceF32(op Op, dst, src []byte, count int) {
 	}
 }
 
-func reduceF64(op Op, dst, src []byte, count int) {
-	if d, s := f64view(dst, count), f64view(src, count); d != nil && s != nil {
-		switch op {
-		case OpSum:
-			for i, v := range s {
-				d[i] += v
-			}
-		case OpProd:
-			for i, v := range s {
-				d[i] *= v
-			}
-		case OpMax:
-			for i, v := range s {
-				if v > d[i] {
-					d[i] = v
-				}
-			}
-		case OpMin:
-			for i, v := range s {
-				if v < d[i] {
-					d[i] = v
-				}
-			}
-		}
+func reduceF64(op Op, dst, a, b []byte, count int) {
+	if d, x, y := f64view(dst, count), f64view(a, count), f64view(b, count); d != nil && x != nil && y != nil {
+		reduceTyped(op, d, x, y)
 		return
 	}
 	for i := 0; i < count; i++ {
-		d := math.Float64frombits(binary.LittleEndian.Uint64(dst[i*8:]))
-		s := math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+		d := math.Float64frombits(binary.LittleEndian.Uint64(a[i*8:]))
+		s := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 		switch op {
 		case OpSum:
 			d += s
@@ -285,6 +251,52 @@ func reduceF64(op Op, dst, src []byte, count int) {
 			}
 		}
 		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(d))
+	}
+}
+
+// reduceTyped is the typed-view kernel: d[i] = op(x[i], y[i]), element by
+// element, so d may alias x or y exactly. The sum is unrolled eight wide,
+// which the scalar loop needs to keep up with three memory streams.
+func reduceTyped[T float32 | float64](op Op, d, x, y []T) {
+	n := len(d)
+	x, y = x[:n], y[:n]
+	switch op {
+	case OpSum:
+		i := 0
+		for ; i+8 <= n; i += 8 {
+			dd, xx, yy := (*[8]T)(d[i:]), (*[8]T)(x[i:]), (*[8]T)(y[i:])
+			dd[0] = xx[0] + yy[0]
+			dd[1] = xx[1] + yy[1]
+			dd[2] = xx[2] + yy[2]
+			dd[3] = xx[3] + yy[3]
+			dd[4] = xx[4] + yy[4]
+			dd[5] = xx[5] + yy[5]
+			dd[6] = xx[6] + yy[6]
+			dd[7] = xx[7] + yy[7]
+		}
+		for ; i < n; i++ {
+			d[i] = x[i] + y[i]
+		}
+	case OpProd:
+		for i := range d {
+			d[i] = x[i] * y[i]
+		}
+	case OpMax:
+		for i := range d {
+			v := x[i]
+			if y[i] > v {
+				v = y[i]
+			}
+			d[i] = v
+		}
+	case OpMin:
+		for i := range d {
+			v := x[i]
+			if y[i] < v {
+				v = y[i]
+			}
+			d[i] = v
+		}
 	}
 }
 

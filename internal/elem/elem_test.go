@@ -1,9 +1,11 @@
 package elem
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindSizes(t *testing.T) {
@@ -213,5 +215,180 @@ func TestSpecializedReduceMatchesGeneric(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// reduceToOperands builds count elements of kind k for both operands:
+// signed zeros, NaN and infinities among ordinary values for the float
+// kinds, spread integers otherwise. The offset lets a and b differ.
+func reduceToOperands(k Kind, count, seed int) []byte {
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1.5, -2.25, 3}
+	b := aligned(count * k.Size())
+	for i := 0; i < count; i++ {
+		v := float64((i*7+seed*13)%23) - 11
+		switch k {
+		case F16, F32, F64, C128:
+			if i%3 == 0 {
+				v = specials[(i/3+seed)%len(specials)]
+			} else {
+				v /= 4
+			}
+		case U8:
+			v = float64((i*7 + seed*13) % 256)
+		}
+		Set(k, b, i, v, -v/2)
+	}
+	return b
+}
+
+// aligned returns n bytes starting at an 8-byte boundary, where the typed
+// views apply (a byte slice the compiler keeps on the stack need not be).
+func aligned(n int) []byte {
+	back := make([]byte, n+8)
+	off := int(-uintptr(unsafe.Pointer(&back[0])) & 7)
+	return back[off : off+n]
+}
+
+// unaligned returns n bytes starting at an odd address, which no typed
+// view accepts.
+func unaligned(n int) []byte {
+	back := make([]byte, n+1)
+	if uintptr(unsafe.Pointer(&back[0]))%2 == 0 {
+		return back[1:]
+	}
+	return back[:n]
+}
+
+// ReduceTo must be bitwise equal to copying a into dst and reducing b into
+// it, for every kind and operator, on aligned buffers (the typed fast
+// paths) and on views offset by one byte (the portable decode paths).
+func TestReduceToMatchesCopyThenReduce(t *testing.T) {
+	const count = 37
+	for _, k := range []Kind{U8, I32, I64, F16, F32, F64, C128} {
+		for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
+			if k == C128 && (op == OpMax || op == OpMin) {
+				continue
+			}
+			a := reduceToOperands(k, count, 1)
+			b := reduceToOperands(k, count, 2)
+			want := aligned(len(a))
+			copy(want, a)
+			Reduce(op, k, want, b, count)
+			got := aligned(len(a))
+			ReduceTo(op, k, got, a, b, count)
+			if !bytes.Equal(got, want) {
+				t.Errorf("kind %d op %d: ReduceTo differs from copy-then-Reduce", int(k), int(op))
+			}
+			// Unaligned: every operand at an odd address.
+			n := len(a)
+			ua, ub, ud := unaligned(n), unaligned(n), unaligned(n)
+			copy(ua, a)
+			copy(ub, b)
+			ReduceTo(op, k, ud, ua, ub, count)
+			if !bytes.Equal(ud, want) {
+				t.Errorf("kind %d op %d: unaligned ReduceTo differs from the aligned result", int(k), int(op))
+			}
+		}
+	}
+}
+
+// The typed fast paths must really step aside for unaligned views, and the
+// portable path they fall back to must agree with the fast one.
+func TestReduceToUnalignedUsesPortablePath(t *testing.T) {
+	if f32view(unaligned(64), 16) != nil || f64view(unaligned(128), 16) != nil {
+		t.Fatal("typed view built over an unaligned buffer")
+	}
+	for _, k := range []Kind{F32, F64} {
+		a := reduceToOperands(k, 16, 3)
+		b := reduceToOperands(k, 16, 4)
+		fast := aligned(len(a))
+		if f32view(fast, 16) == nil {
+			t.Fatal("no typed view over an aligned buffer")
+		}
+		ReduceTo(OpSum, k, fast, a, b, 16)
+		ua := unaligned(len(a))
+		copy(ua, a)
+		slow := unaligned(len(a))
+		ReduceTo(OpSum, k, slow, ua, b, 16)
+		if !bytes.Equal(fast, slow) {
+			t.Errorf("kind %d: portable path differs from the typed path", int(k))
+		}
+	}
+}
+
+// dst may alias either operand exactly: the in-place form is Reduce itself
+// (dst == a), and dst == b overwrites the incoming operand.
+func TestReduceToAliasing(t *testing.T) {
+	for _, k := range []Kind{I32, F32, F64} {
+		for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
+			a := reduceToOperands(k, 19, 5)
+			b := reduceToOperands(k, 19, 6)
+			want := aligned(len(a))
+			ReduceTo(op, k, want, a, b, 19)
+			inA := aligned(len(a))
+			copy(inA, a)
+			ReduceTo(op, k, inA, inA, b, 19)
+			inB := aligned(len(b))
+			copy(inB, b)
+			ReduceTo(op, k, inB, a, inB, 19)
+			if !bytes.Equal(inA, want) || !bytes.Equal(inB, want) {
+				t.Errorf("kind %d op %d: aliased ReduceTo differs", int(k), int(op))
+			}
+		}
+	}
+}
+
+// NaN and signed zeros follow the left operand the way copy-then-Reduce
+// does: a NaN on the left survives max/min (no comparison against it is
+// true), a NaN on the right is ignored by them, and -0 + -0 stays -0.
+func TestReduceToNaNAndSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		op   Op
+		a, b float64
+		want float64
+	}{
+		{OpSum, negZero, negZero, negZero},
+		{OpSum, negZero, 0, 0},
+		{OpProd, negZero, 5, negZero},
+		{OpMax, math.NaN(), 1, math.NaN()},
+		{OpMax, 1, math.NaN(), 1},
+		{OpMin, math.NaN(), 1, math.NaN()},
+		{OpMin, 1, math.NaN(), 1},
+		{OpMax, negZero, 0, negZero},
+		{OpSum, math.NaN(), 2, math.NaN()},
+	}
+	for _, k := range []Kind{F16, F32, F64} {
+		for _, c := range cases {
+			a, b, d := aligned(k.Size()), aligned(k.Size()), aligned(k.Size())
+			Set(k, a, 0, c.a, 0)
+			Set(k, b, 0, c.b, 0)
+			ReduceTo(c.op, k, d, a, b, 1)
+			got, _ := Get(k, d, 0)
+			if math.IsNaN(c.want) != math.IsNaN(got) ||
+				(!math.IsNaN(got) && (got != c.want || math.Signbit(got) != math.Signbit(c.want))) {
+				t.Errorf("kind %d op %d (%v, %v) = %v, want %v", int(k), int(c.op), c.a, c.b, got, c.want)
+			}
+		}
+	}
+}
+
+func TestReduceToComplexProd(t *testing.T) {
+	a := make([]byte, 32)
+	b := make([]byte, 32)
+	d := make([]byte, 32)
+	Set(C128, a, 0, 1, 2)
+	Set(C128, b, 0, 3, -1)
+	Set(C128, a, 1, 0, 1)
+	Set(C128, b, 1, 0, 1)
+	ReduceTo(OpProd, C128, d, a, b, 2)
+	if re, im := Get(C128, d, 0); re != 5 || im != 5 { // (1+2i)(3-i) = 5+5i
+		t.Errorf("(1+2i)(3-i) = %v+%vi", re, im)
+	}
+	if re, im := Get(C128, d, 1); re != -1 || im != 0 { // i·i = -1
+		t.Errorf("i·i = %v+%vi", re, im)
+	}
+	if re, im := Get(C128, a, 0); re != 1 || im != 2 {
+		t.Errorf("left operand changed to %v+%vi", re, im)
 	}
 }

@@ -10,7 +10,9 @@
 // per-node egress and ingress NIC pools.
 //
 // Data really moves: unless NoCopy is set, the destination buffer holds the
-// source bytes when Transfer returns.
+// source bytes when Transfer returns. With NoCopy the transfer is priced in
+// full and moves nothing; callers that read the source in place afterwards
+// (the CCL pipes' direct reads) check Verbatim first.
 package fabric
 
 import (
@@ -41,7 +43,9 @@ type Opts struct {
 	Channels int
 	// ChunkBytes overrides the pipeline chunk size.
 	ChunkBytes int64
-	// NoCopy skips byte movement for timing-only probes.
+	// NoCopy prices the transfer in full but moves no bytes: timing-only
+	// probes, and the CCL pipes, whose consumers read the source region in
+	// place when the fabric delivers verbatim (see Verbatim).
 	NoCopy bool
 }
 
@@ -199,6 +203,12 @@ func (f *Fabric) SetIntegrity(i Integrity) { f.integrity = i }
 
 // Integrity returns the active integrity configuration.
 func (f *Fabric) Integrity() Integrity { return f.integrity }
+
+// Verbatim reports whether every transfer delivers the source bytes
+// unchanged: no corrupter is attached and integrity checking is off. Only
+// then may a receiver read the source in place of a NoCopy transfer's
+// destination; otherwise the bytes must land (and be verified) there.
+func (f *Fabric) Verbatim() bool { return f.corrupter == nil && !f.integrity.Enabled }
 
 // SetMetrics wires a registry for fabric-level counters (degraded
 // transfers). A nil registry disables them.

@@ -46,8 +46,10 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # and spawn pipeline helper procs; the property tests cover every phase
 # interleaving, so they are the ccl surface worth a race pass. TestCompiled
 # adds the compiled executor: every plan strategy's primitive DAG runs its
-# steps through the same pooled pipes.
-go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled' mpixccl/internal/ccl
+# steps through the same pooled pipes. TestDirectRead covers the pipes'
+# direct reads of peer buffers: a straggler still reading while its peers
+# reuse their buffers, and the staged path under corruption.
+go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestDirectRead' mpixccl/internal/ccl
 # Bench smoke: one fixed iteration proves the benchmark harness still
 # runs end to end (full baselines come from scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkFig1aAllreduceCrossover$' -benchtime 1x .
