@@ -51,33 +51,52 @@ func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64
 	co := c.core
 	return s.Enqueue(fmt.Sprintf("%s/%s/r%d", co.cfg.Name, name, rank), func(p *sim.Proc) {
 		rc := co.getCtx(st, rank, p)
-		defer co.putCtx(rc)
-		c.delay(p, name) // injected straggler latency, if any
-		rc.launch(bytes)
-		if co.watchdog > 0 {
-			// A peer already judged this collective dead, or the start
-			// rendezvous times out on a fail-stopped peer: abandon the op
-			// with an async verdict. finish still runs so the op state
-			// drains for the ranks that did show up.
-			if st.aborted || !st.start.WaitTimeout(p, co.watchdog) {
-				st.aborted = true
-				c.asyncErr = co.deadVerdict(name, p.Now())
-				co.finish(st)
-				return
-			}
-		} else {
-			st.start.Wait(p)
-		}
-		run(rc, st.args[rank])
-		rc.settle()
-		if st.abortErr != nil {
-			// A transfer crossed an active network cut mid-schedule. The
-			// verdict is shared: every participant's result is void, even
-			// ranks whose own hops stayed on one side of the cut.
-			c.raiseAsync(st.abortErr)
-		}
+		c.wave(rc, name, bytes, run)
+		// finish runs on an abandoned wave too, so the op state drains
+		// for the ranks that did show up.
 		co.finish(st)
+		co.putCtx(rc)
 	})
+}
+
+// wave runs one rank's part of a collective on its stream process, for
+// one-shot calls and persistent waves alike: injected straggler delay,
+// launch overhead, the start rendezvous, the schedule body, then settle.
+// With the watchdog armed, a rendezvous that times out on a fail-stopped
+// peer (or that a peer already judged dead) abandons the wave with an
+// async ErrRankDead verdict. A transfer that crossed an active network
+// cut mid-schedule voids the wave on every participant, even ranks whose
+// own hops stayed on one side of the cut.
+func (c *Comm) wave(rc *runCtx, op string, bytes int64, body func(rc *runCtx, a *opArgs)) {
+	co, st := c.core, rc.st
+	c.delay(rc.p, op)
+	rc.launch(bytes)
+	if co.watchdog > 0 && st.aborted || !rc.startWait() {
+		st.aborted = true
+		c.raiseAsync(co.deadVerdict(op, rc.p.Now()))
+		return
+	}
+	body(rc, st.args[rc.rank])
+	rc.settle()
+	if st.abortErr != nil {
+		c.raiseAsync(st.abortErr)
+	}
+}
+
+// startWait waits at the op's cyclic start barrier, bounded by the
+// collective watchdog when armed; false means the wait timed out on a hung
+// peer and the op is marked aborted.
+func (rc *runCtx) startWait() bool {
+	co, st := rc.co, rc.st
+	if co.watchdog <= 0 {
+		st.start.Wait(rc.p)
+		return true
+	}
+	if !st.start.WaitTimeout(rc.p, co.watchdog) {
+		st.aborted = true
+		return false
+	}
+	return true
 }
 
 // resolveAlgo maps the forced schedule family (SetAlgorithm) onto what
@@ -103,6 +122,65 @@ func (c *Comm) resolveAlgo(count int) (Algorithm, int64) {
 	return algo, c.hierChunk()
 }
 
+// allReduceAlgo resolves allreduce's schedule family: the forced family
+// (resolveAlgo) or, when none applies, the built-in size split — the
+// latency-oriented tree for payloads up to TreeThreshold or with fewer
+// elements than ranks, the bandwidth-oriented ring above. auto reports
+// that the split decided.
+func (c *Comm) allReduceAlgo(count int, bytes int64) (algo Algorithm, chunk int64, auto bool) {
+	algo, chunk = c.resolveAlgo(count)
+	if algo != AlgoAuto {
+		return algo, chunk, false
+	}
+	if bytes <= c.core.cfg.TreeThreshold || count < c.core.n {
+		return AlgoTree, chunk, true
+	}
+	return AlgoFlatRing, chunk, true
+}
+
+// runAllReduce is allreduce's schedule switch, shared by one-shot calls and
+// persistent waves; algo is resolved (never AlgoAuto). A partitioned
+// persistent wave's flat schedules wait for the whole payload; the
+// hierarchical one consumes partitions per chunk.
+func (rc *runCtx) runAllReduce(algo Algorithm, dt Datatype, op RedOp, count int, chunk int64) {
+	if rc.co.n == 1 {
+		a := rc.st.args[rc.rank]
+		rc.waitAllParts()
+		rc.localCopy(a.recv, a.send, int64(count)*int64(dt.Size()))
+		return
+	}
+	switch algo {
+	case AlgoHierarchical:
+		rc.hierAllReduce(dt, op, count, chunk)
+	case AlgoTree:
+		rc.waitAllParts()
+		rc.treeAllReduce(dt, op, count)
+	default:
+		rc.waitAllParts()
+		rc.ringAllReduce(dt, op, count)
+	}
+}
+
+// runBroadcast is broadcast's schedule switch: the chunked hierarchical
+// fan-out when forced on a multi-rank shape, the binomial tree otherwise.
+func (rc *runCtx) runBroadcast(algo Algorithm, dt Datatype, count, root int, chunk int64) {
+	if algo == AlgoHierarchical && rc.co.n > 1 {
+		rc.hierBroadcast(dt, count, root, chunk)
+		return
+	}
+	rc.treeBroadcast(dt, count, root)
+}
+
+// runAllGather is allgather's schedule switch: the hierarchical leader ring
+// when forced on a multi-rank shape, the block ring otherwise.
+func (rc *runCtx) runAllGather(algo Algorithm, dt Datatype, count int, chunk int64) {
+	if algo == AlgoHierarchical && rc.co.n > 1 {
+		rc.hierAllGather(dt, count, chunk)
+		return
+	}
+	rc.ringAllGather(dt, count)
+}
+
 // AllReduce combines send into recv across all ranks with op. Large
 // payloads run the multi-channel ring (reduce-scatter + allgather); small
 // payloads run a latency-oriented binomial tree (reduce + broadcast),
@@ -114,41 +192,21 @@ func (c *Comm) AllReduce(send, recv *device.Buffer, count int, dt Datatype, op R
 	}
 	bytes := int64(count) * int64(dt.Size())
 	a := c.core.newArgs(send, recv, count, 0)
-	algo, chunk := c.resolveAlgo(count)
-	tree := bytes <= c.core.cfg.TreeThreshold || count < c.core.n
+	algo, chunk, auto := c.allReduceAlgo(count, bytes)
 	var custom *Algo
-	if algo == AlgoAuto {
+	if auto {
 		custom = c.core.findAlgo("allreduce", bytes)
 		if custom != nil && count < custom.NChunks {
 			custom = nil // too few elements to partition
 		}
 	}
 	c.enqueueColl(s, "allreduce", a, bytes, func(rc *runCtx, a *opArgs) {
-		if rc.co.n == 1 {
-			rc.localCopy(a.recv, a.send, bytes)
-			return
-		}
-		switch algo {
-		case AlgoHierarchical:
-			rc.hierAllReduce(dt, op, count, chunk)
-			return
-		case AlgoTree:
-			rc.treeAllReduce(dt, op, count)
-			return
-		case AlgoFlatRing:
-			rc.ringAllReduce(dt, op, count)
-			return
-		}
-		if custom != nil {
+		if custom != nil && rc.co.n > 1 {
 			rc.localCopy(a.recv, a.send, bytes)
 			rc.runCustom(custom, dt, op, count)
 			return
 		}
-		if tree {
-			rc.treeAllReduce(dt, op, count)
-			return
-		}
-		rc.ringAllReduce(dt, op, count)
+		rc.runAllReduce(algo, dt, op, count, chunk)
 	})
 	return nil
 }
@@ -162,11 +220,7 @@ func (c *Comm) Broadcast(send, recv *device.Buffer, count int, dt Datatype, root
 	a := c.core.newArgs(send, recv, count, root)
 	algo, chunk := c.resolveAlgo(count)
 	c.enqueueColl(s, "broadcast", a, bytes, func(rc *runCtx, a *opArgs) {
-		if algo == AlgoHierarchical && rc.co.n > 1 {
-			rc.hierBroadcast(dt, count, root, chunk)
-			return
-		}
-		rc.treeBroadcast(dt, count, root)
+		rc.runBroadcast(algo, dt, count, root, chunk)
 	})
 	return nil
 }
@@ -191,17 +245,13 @@ func (c *Comm) AllGather(send, recv *device.Buffer, count int, dt Datatype, s *d
 		return err
 	}
 	bytes := int64(count) * int64(dt.Size())
-	if recv.Len() < bytes*int64(c.core.n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Msg: "allgather recv buffer too small"}
+	if err := c.checkBlocks("allgather", "allgather recv", recv, bytes); err != nil {
+		return err
 	}
 	a := c.core.newArgs(send, recv, count, 0)
 	algo, chunk := c.resolveAlgo(count)
 	c.enqueueColl(s, "allgather", a, bytes, func(rc *runCtx, a *opArgs) {
-		if algo == AlgoHierarchical && rc.co.n > 1 {
-			rc.hierAllGather(dt, count, chunk)
-			return
-		}
-		rc.ringAllGather(dt, count)
+		rc.runAllGather(algo, dt, count, chunk)
 	})
 	return nil
 }
@@ -213,8 +263,8 @@ func (c *Comm) ReduceScatter(send, recv *device.Buffer, recvCount int, dt Dataty
 		return err
 	}
 	bytes := int64(recvCount) * int64(dt.Size())
-	if send.Len() < bytes*int64(c.core.n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Msg: "reducescatter send buffer too small"}
+	if err := c.checkBlocks("reducescatter", "reducescatter send", send, bytes); err != nil {
+		return err
 	}
 	a := c.core.newArgs(send, recv, recvCount, 0)
 	algo, chunk := c.resolveAlgo(recvCount)

@@ -266,6 +266,27 @@ func TestValidationErrors(t *testing.T) {
 	if err := c.Send(buf, 4, ccl.Float32, 7, s); err == nil {
 		t.Error("bad peer accepted")
 	}
+	// Missing or undersized gather/scatter buffers: an argument error that
+	// names the operation and the calling rank, never a nil dereference.
+	for _, tc := range []struct {
+		op   string
+		call func() error
+	}{
+		{"allgather", func() error { return c.AllGather(buf, nil, 4, ccl.Float32, s) }},
+		{"allgather", func() error { return c.AllGather(buf, buf, 16, ccl.Float32, s) }},
+		{"allgather-init", func() error {
+			_, err := c.AllgatherInit(buf, nil, 4, ccl.Float32, s)
+			return err
+		}},
+		{"reducescatter", func() error { return c.ReduceScatter(nil, buf, 4, ccl.Float32, ccl.Sum, s) }},
+		{"reducescatter", func() error { return c.ReduceScatter(buf, buf, 16, ccl.Float32, ccl.Sum, s) }},
+	} {
+		err := tc.call()
+		var ce *ccl.Error
+		if !errors.As(err, &ce) || ce.Result != ccl.ErrInvalidArgument || ce.Op != tc.op || ce.Rank != 0 {
+			t.Errorf("%s: err = %v, want xcclInvalidArgument for op %s on rank 0", tc.op, err, tc.op)
+		}
+	}
 	if err := c.GroupEnd(); err == nil {
 		t.Error("group end without start accepted")
 	}

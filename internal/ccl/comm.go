@@ -437,11 +437,7 @@ func (co *core) join(seq, rank int, a *opArgs) *opState {
 func (co *core) finish(st *opState) {
 	st.done++
 	if st.done == co.n {
-		for _, pp := range st.pipes {
-			for _, s := range pp.slots {
-				s.Free()
-			}
-		}
+		st.freePipes()
 		for _, b := range st.scratch {
 			if b != nil {
 				b.Free()
@@ -456,6 +452,15 @@ func (co *core) finish(st *opState) {
 			}
 		}
 		delete(co.ops, st.seq)
+	}
+}
+
+// freePipes releases the slot buffers of every pipe the op created.
+func (st *opState) freePipes() {
+	for _, pp := range st.pipes {
+		for _, s := range pp.slots {
+			s.Free()
+		}
 	}
 }
 
@@ -506,7 +511,7 @@ type runCtx struct {
 	// pers carries the handle's caches and partition gate, sender is this
 	// process's resident async-put helper (replacing per-step Spawns).
 	pers   *persistState
-	sender *persistSender
+	sender *resident[putJob]
 
 	// chunk overrides the fabric pipeline granularity for this context's
 	// transfers (compiled plans carry a searched chunk size; 0 = backend
@@ -568,7 +573,7 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 // they run on. Wait on the returned counter before reusing src.
 func (rc *runCtx) putAsync(to int, src *device.Buffer, n int64, slotBytes int64) *sim.Counter {
 	if rc.sender != nil {
-		return rc.sender.post(to, src, n, slotBytes)
+		return rc.sender.post(putJob{to: to, src: src, n: n, slotBytes: slotBytes})
 	}
 	k := rc.p.Kernel()
 	done := sim.NewCounter(k, 1)
@@ -770,6 +775,16 @@ func (c *Comm) validateArgs(opName string, send, recv *device.Buffer, count int,
 	if recv != nil && recv.Len() < bytes {
 		return &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,
 			Msg: "recv buffer too small"}
+	}
+	return nil
+}
+
+// checkBlocks rejects a buffer that is nil or smaller than the n blocks of
+// blockBytes a gathering or scattering collective moves through it.
+func (c *Comm) checkBlocks(opName, what string, buf *device.Buffer, blockBytes int64) error {
+	if buf == nil || buf.Len() < blockBytes*int64(c.core.n) {
+		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,
+			Msg: what + " buffer too small"}
 	}
 	return nil
 }

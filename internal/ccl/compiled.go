@@ -119,18 +119,12 @@ func planSlot(p *comp.Plan) int64 {
 // arrive, so every survivor times out together and abandons the remaining
 // phases uniformly.
 func (rc *runCtx) fence(op string) bool {
-	st, co := rc.st, rc.co
-	if co.watchdog > 0 {
-		if !st.start.WaitTimeout(rc.p, co.watchdog) {
-			st.aborted = true
-			if st.abortErr == nil {
-				st.abortErr = co.deadVerdict(op, rc.p.Now())
-			}
-			return false
+	if !rc.startWait() {
+		if rc.st.abortErr == nil {
+			rc.st.abortErr = rc.co.deadVerdict(op, rc.p.Now())
 		}
-		return true
+		return false
 	}
-	st.start.Wait(rc.p)
 	return true
 }
 

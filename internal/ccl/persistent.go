@@ -13,7 +13,7 @@ package ccl
 //     the offsets a wave touches are materialized once during the first
 //     (warm-up) wave;
 //   - asynchronous ring puts run on a resident sender daemon recycling one
-//     completion latch (persistSender), replacing the per-step process
+//     completion latch (resident), replacing the per-step process
 //     spawn of the one-shot path;
 //   - the hierarchical leader's inter-node engine is a resident daemon fed
 //     through a reusable chunk queue, with per-chunk done events Reset each
@@ -55,7 +55,7 @@ type persistState struct {
 	reps []int
 	// fwd is the hierarchical allgather leader's resident block-set
 	// forwarder (nil elsewhere).
-	fwd *persistForwarder
+	fwd *resident[int]
 }
 
 // slice returns a view of b[off, off+n), memoized on the persistent
@@ -176,35 +176,45 @@ type putJob struct {
 	n, slotBytes int64
 }
 
-// persistSender is a resident helper process performing the asynchronous
-// puts of one executing process of a persistent schedule: putAsync posts a
-// job and returns the recycled completion latch instead of spawning a fresh
-// helper (and latch) per ring step. At most one job is outstanding at a
-// time — every ring schedule waits a step's send before issuing the next.
-type persistSender struct {
-	jobs *sim.Chan[putJob]
+// resident is a helper process of a persistent schedule that runs one
+// preset routine per posted job, replacing the per-step process (and latch)
+// spawn of the one-shot path: a ring's asynchronous puts (the resident
+// sender, whose jobs are putJobs) and a hierarchical allgather leader's
+// per-step block-set forwarding (jobs are source node indexes). post
+// returns the recycled completion latch. At most one job is outstanding at
+// a time — every schedule waits a step's send before issuing the next.
+type resident[J any] struct {
+	jobs *sim.Chan[J]
 	done *sim.Counter
 }
 
-func newPersistSender(co *core, st *opState, rank int, ps *persistState, name string) *persistSender {
+func newResident[J any](co *core, st *opState, rank int, ps *persistState,
+	name string, run func(rc *runCtx, job J)) *resident[J] {
 	k := co.fab.Kernel()
-	sn := &persistSender{jobs: sim.NewChan[putJob](k, 1), done: sim.NewCounter(k, 0)}
+	h := &resident[J]{jobs: sim.NewChan[J](k, 1), done: sim.NewCounter(k, 0)}
 	rc := &runCtx{co: co, st: st, rank: rank, pers: ps}
 	k.SpawnDaemon(name, func(p *sim.Proc) {
 		rc.p = p
 		for {
-			j := sn.jobs.Recv(p)
-			rc.put(j.to, j.src, j.n, j.slotBytes)
-			sn.done.Done()
+			j := h.jobs.Recv(p)
+			run(rc, j)
+			h.done.Done()
 		}
 	})
-	return sn
+	return h
 }
 
-func (sn *persistSender) post(to int, src *device.Buffer, n, slotBytes int64) *sim.Counter {
-	sn.done.Reset(1)
-	sn.jobs.TrySend(putJob{to: to, src: src, n: n, slotBytes: slotBytes})
-	return sn.done
+func (h *resident[J]) post(job J) *sim.Counter {
+	h.done.Reset(1)
+	h.jobs.TrySend(job)
+	return h.done
+}
+
+// newPersistSender starts the resident sender putAsync posts to.
+func newPersistSender(co *core, st *opState, rank int, ps *persistState, name string) *resident[putJob] {
+	return newResident(co, st, rank, ps, name, func(rc *runCtx, j putJob) {
+		rc.put(j.to, j.src, j.n, j.slotBytes)
+	})
 }
 
 // persistEngine is a hierarchical leader's resident inter-node engine: the
@@ -213,37 +223,6 @@ func (sn *persistSender) post(to int, src *device.Buffer, n, slotBytes int64) *s
 type persistEngine struct {
 	ready *sim.Chan[int]
 	done  []*sim.Event
-}
-
-// persistForwarder is a resident helper running one preset send routine
-// per posted job — the hierarchical allgather leader's per-step block-set
-// forwarding — replacing the per-step process (and latch) spawn of the
-// one-shot path. At most one job is outstanding at a time.
-type persistForwarder struct {
-	jobs *sim.Chan[int]
-	done *sim.Counter
-}
-
-func newPersistForwarder(co *core, st *opState, rank int, ps *persistState,
-	name string, run func(rc *runCtx, job int)) *persistForwarder {
-	k := co.fab.Kernel()
-	fw := &persistForwarder{jobs: sim.NewChan[int](k, 1), done: sim.NewCounter(k, 0)}
-	rc := &runCtx{co: co, st: st, rank: rank, pers: ps}
-	k.SpawnDaemon(name, func(p *sim.Proc) {
-		rc.p = p
-		for {
-			j := fw.jobs.Recv(p)
-			run(rc, j)
-			fw.done.Done()
-		}
-	})
-	return fw
-}
-
-func (fw *persistForwarder) post(job int) *sim.Counter {
-	fw.done.Reset(1)
-	fw.jobs.TrySend(job)
-	return fw.done
 }
 
 // persistShared is the cross-rank Init rendezvous record: the i-th
@@ -261,9 +240,12 @@ type persistShared struct {
 	joined int
 }
 
-// persistJoin runs the cross-rank Init rendezvous for the caller's next
-// persistent op, validating argument agreement across ranks.
-func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts, root int) (*persistShared, int, error) {
+// persistBegin runs the Init steps every persistent collective shares: the
+// cross-rank rendezvous for the caller's next persistent op (validating
+// argument agreement across ranks), the handle-owned argument record
+// (never pooled), and the main execution context with the handle's
+// schedule caches.
+func (c *Comm) persistBegin(kind string, a *opArgs, dt Datatype, op RedOp, parts int) (*runCtx, int, error) {
 	co := c.core
 	id := c.pseq
 	c.pseq++
@@ -276,11 +258,11 @@ func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts,
 				start: sim.NewBarrier(co.fab.Kernel(), co.n),
 				pipes: make(map[[2]int]*pipe),
 			},
-			kind: kind, count: count, dt: dt, op: op, parts: parts, root: root,
+			kind: kind, count: a.count, dt: dt, op: op, parts: parts, root: a.root,
 		}
 		co.persist[id] = ps
-	} else if ps.kind != kind || ps.count != count || ps.dt != dt || ps.op != op ||
-		ps.parts != parts || ps.root != root {
+	} else if ps.kind != kind || ps.count != a.count || ps.dt != dt || ps.op != op ||
+		ps.parts != parts || ps.root != a.root {
 		return nil, 0, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: kind + "-init",
 			Rank: c.rank, Msg: fmt.Sprintf("persistent op #%d: mismatched arguments across ranks", id)}
 	}
@@ -288,23 +270,31 @@ func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts,
 	if ps.joined == co.n {
 		delete(co.persist, id) // rendezvous complete; state lives in the handles
 	}
-	return ps, id, nil
+	ps.st.args[c.rank] = a
+	pstate := &persistState{
+		slices: make(map[sliceKey]*device.Buffer),
+		bounds: make(map[[2]int][]int),
+	}
+	return &runCtx{co: co, st: ps.st, rank: c.rank, pers: pstate}, id, nil
 }
 
-// persistStartWait runs a wave's start rendezvous under the collective
-// watchdog; false means the wave was judged dead and the verdict raised.
-func (c *Comm) persistStartWait(rc *runCtx, st *opState, op string) bool {
+// persistColl completes Init: a flat ring gets its resident sender, and
+// the handle's stream task runs every wave through the shared wave
+// skeleton around body.
+func (c *Comm) persistColl(s *device.Stream, rc *runCtx, id int, kind string, algo Algorithm,
+	parts int, bytes int64, body func(rc *runCtx, a *opArgs)) *PersistentColl {
 	co := c.core
-	if co.watchdog > 0 {
-		if st.aborted || !st.start.WaitTimeout(rc.p, co.watchdog) {
-			st.aborted = true
-			c.raiseAsync(co.deadVerdict(op, rc.p.Now()))
-			return false
-		}
-	} else {
-		st.start.Wait(rc.p)
+	if algo == AlgoFlatRing && co.n > 1 {
+		rc.sender = newPersistSender(co, rc.st, c.rank, rc.pers,
+			fmt.Sprintf("%s/persist%d/sender/r%d", co.cfg.Name, id, c.rank))
 	}
-	return true
+	pc := &PersistentColl{c: c, st: rc.st, pers: rc.pers, algo: algo, op: kind, parts: parts}
+	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/%s-persist%d/r%d", co.cfg.Name, kind, id, c.rank),
+		func(p *sim.Proc) {
+			rc.p = p
+			c.wave(rc, kind, bytes, body)
+		})
+	return pc
 }
 
 // PersistentColl is one rank's handle on a persistent collective. The
@@ -359,25 +349,16 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 	}
 
 	// Init rendezvous: the i-th Init of every rank joins one shared state.
-	ps, id, err := c.persistJoin("allreduce", count, dt, op, parts, 0)
+	rc, id, err := c.persistBegin("allreduce", &opArgs{send: send, recv: recv, count: count}, dt, op, parts)
 	if err != nil {
 		return nil, err
 	}
-	st := ps.st
-	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count} // owned by the handle, never pooled
 
 	// Plan selection, once: the forced family (SetAlgorithm, fed by the
 	// tuning table) or the backend's built-in size-based split.
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	algo, chunk := c.resolveAlgo(count)
-	if algo == AlgoAuto {
-		if bytes <= co.cfg.TreeThreshold || count < co.n {
-			algo = AlgoTree
-		} else {
-			algo = AlgoFlatRing
-		}
-	}
+	algo, chunk, _ := c.allReduceAlgo(count, bytes)
 	if algo == AlgoHierarchical && parts > 1 {
 		// Align the pipeline chunk with the partitions so the leader ring
 		// consumes partitions as the application marks them ready.
@@ -385,17 +366,9 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 	}
 
 	k := co.fab.Kernel()
-	pstate := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
+	pstate := rc.pers
 	if parts > 1 {
 		pstate.gate = newPartGate(k, parts)
-	}
-	rcMain := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-	if algo == AlgoFlatRing && co.n > 1 {
-		rcMain.sender = newPersistSender(co, st, c.rank, pstate,
-			fmt.Sprintf("%s/persist%d/sender/r%d", co.cfg.Name, id, c.rank))
 	}
 	if algo == AlgoHierarchical {
 		hp := co.hier()
@@ -413,8 +386,8 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 				eng.done[i] = sim.NewEvent(k)
 			}
 			pstate.eng = eng
-			rcEng := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-			rcEng.sender = newPersistSender(co, st, c.rank, pstate,
+			rcEng := &runCtx{co: co, st: rc.st, rank: c.rank, pers: pstate}
+			rcEng.sender = newPersistSender(co, rc.st, c.rank, pstate,
 				fmt.Sprintf("%s/persist%d/hier/sender/r%d", co.cfg.Name, id, c.rank))
 			hpl, dtl, opl := hp, dt, op
 			k.SpawnDaemon(fmt.Sprintf("%s/persist%d/hier/engine/r%d", co.cfg.Name, id, c.rank), func(p *sim.Proc) {
@@ -427,43 +400,9 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 			})
 		}
 	}
-
-	pc := &PersistentColl{c: c, st: st, pers: pstate, algo: algo, op: "allreduce", parts: parts}
-	name := fmt.Sprintf("%s/allreduce-persist%d/r%d", co.cfg.Name, id, c.rank)
-	chunkArg := chunk
-	pc.task = s.NewPersistentTask(name, func(p *sim.Proc) {
-		rcMain.p = p
-		c.delay(p, "allreduce")
-		rcMain.launch(bytes)
-		if !c.persistStartWait(rcMain, st, "allreduce") {
-			return
-		}
-		a := st.args[c.rank]
-		if co.n == 1 {
-			rcMain.waitAllParts()
-			rcMain.localCopy(a.recv, a.send, bytes)
-			return
-		}
-		switch algo {
-		case AlgoHierarchical:
-			rcMain.hierAllReduce(dt, op, count, chunkArg)
-		case AlgoTree:
-			rcMain.waitAllParts()
-			rcMain.treeAllReduce(dt, op, count)
-		default:
-			rcMain.waitAllParts()
-			rcMain.ringAllReduce(dt, op, count)
-		}
-		rcMain.settle()
-		if st.abortErr != nil {
-			// A wave transfer crossed a network cut: the shared verdict
-			// voids every rank's result for this wave (and the handle —
-			// the persistent op state is permanent, so the owner rebuilds
-			// after the membership layer shrinks or regrows).
-			c.raiseAsync(st.abortErr)
-		}
-	})
-	return pc, nil
+	return c.persistColl(s, rc, id, "allreduce", algo, parts, bytes, func(rc *runCtx, a *opArgs) {
+		rc.runAllReduce(algo, dt, op, count, chunk)
+	}), nil
 }
 
 // BcastInit builds a persistent broadcast handle (the MPI_Bcast_init
@@ -474,47 +413,20 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 // handle order. Broadcast handles are not partitionable (only the root
 // produces payload).
 func (c *Comm) BcastInit(send, recv *device.Buffer, count int, dt Datatype, root int, s *device.Stream) (*PersistentColl, error) {
-	co := c.core
 	if err := c.validateArgs("broadcast", send, recv, count, dt, nil, root); err != nil {
 		return nil, err
 	}
-	ps, id, err := c.persistJoin("broadcast", count, dt, Sum, 1, root)
+	rc, id, err := c.persistBegin("broadcast", &opArgs{send: send, recv: recv, count: count, root: root}, dt, Sum, 1)
 	if err != nil {
 		return nil, err
 	}
-	st := ps.st
-	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count, root: root}
-
-	bytes := int64(count) * int64(dt.Size())
 	algo, chunk := c.resolveAlgo(count)
 	if algo != AlgoHierarchical {
 		algo = AlgoTree // broadcast's flat schedule is always the binomial tree
 	}
-	pstate := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
-	rcMain := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-	pc := &PersistentColl{c: c, st: st, pers: pstate, algo: algo, op: "broadcast", parts: 1}
-	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/broadcast-persist%d/r%d", co.cfg.Name, id, c.rank),
-		func(p *sim.Proc) {
-			rcMain.p = p
-			c.delay(p, "broadcast")
-			rcMain.launch(bytes)
-			if !c.persistStartWait(rcMain, st, "broadcast") {
-				return
-			}
-			if algo == AlgoHierarchical && co.n > 1 {
-				rcMain.hierBroadcast(dt, count, root, chunk)
-			} else {
-				rcMain.treeBroadcast(dt, count, root)
-			}
-			rcMain.settle()
-			if st.abortErr != nil {
-				c.raiseAsync(st.abortErr)
-			}
-		})
-	return pc, nil
+	return c.persistColl(s, rc, id, "broadcast", algo, 1, int64(count)*int64(dt.Size()), func(rc *runCtx, a *opArgs) {
+		rc.runBroadcast(algo, dt, count, root, chunk)
+	}), nil
 }
 
 // AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
@@ -528,31 +440,17 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 	if err := c.validateArgs("allgather", send, nil, count, dt, nil, 0); err != nil {
 		return nil, err
 	}
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	if recv.Len() < bytes*int64(co.n) {
-		return nil, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: "allgather-init",
-			Rank: c.rank, Msg: "allgather recv buffer too small"}
+	bytes := int64(count) * int64(dt.Size())
+	if err := c.checkBlocks("allgather-init", "allgather recv", recv, bytes); err != nil {
+		return nil, err
 	}
-	ps, id, err := c.persistJoin("allgather", count, dt, Sum, 1, 0)
+	rc, id, err := c.persistBegin("allgather", &opArgs{send: send, recv: recv, count: count}, dt, Sum, 1)
 	if err != nil {
 		return nil, err
 	}
-	st := ps.st
-	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count}
-
 	algo, chunk := c.resolveAlgo(count)
 	if algo != AlgoHierarchical {
 		algo = AlgoFlatRing // allgather's flat schedule is the block ring
-	}
-	pstate := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
-	rcMain := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-	if algo == AlgoFlatRing && co.n > 1 {
-		rcMain.sender = newPersistSender(co, st, c.rank, pstate,
-			fmt.Sprintf("%s/persist%d/sender/r%d", co.cfg.Name, id, c.rank))
 	}
 	if algo == AlgoHierarchical {
 		hp := co.hier()
@@ -560,38 +458,20 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 			// Resident phase-B forwarder: per step, ship one node's
 			// block-set to the right-hand leader (hierAllGather posts the
 			// source node index as the job).
-			blk := bytes
-			pstate.fwd = newPersistForwarder(co, st, c.rank, pstate,
+			rc.pers.fwd = newResident(co, rc.st, c.rank, rc.pers,
 				fmt.Sprintf("%s/persist%d/hier/fwd/r%d", co.cfg.Name, id, c.rank),
 				func(rc *runCtx, srcNode int) {
 					right := hp.leaders[(hp.nodeIdx[rc.rank]+1)%len(hp.leaders)]
 					for _, r := range hp.locals[srcNode] {
-						rc.putDirect(right, rc.slice(rc.st.args[right].recv, int64(r)*blk, blk),
-							rc.slice(rc.st.args[rc.rank].recv, int64(r)*blk, blk), blk)
+						rc.putDirect(right, rc.slice(rc.st.args[right].recv, int64(r)*bytes, bytes),
+							rc.slice(rc.st.args[rc.rank].recv, int64(r)*bytes, bytes), bytes)
 					}
 				})
 		}
 	}
-	pc := &PersistentColl{c: c, st: st, pers: pstate, algo: algo, op: "allgather", parts: 1}
-	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/allgather-persist%d/r%d", co.cfg.Name, id, c.rank),
-		func(p *sim.Proc) {
-			rcMain.p = p
-			c.delay(p, "allgather")
-			rcMain.launch(bytes)
-			if !c.persistStartWait(rcMain, st, "allgather") {
-				return
-			}
-			if algo == AlgoHierarchical && co.n > 1 {
-				rcMain.hierAllGather(dt, count, chunk)
-			} else {
-				rcMain.ringAllGather(dt, count)
-			}
-			rcMain.settle()
-			if st.abortErr != nil {
-				c.raiseAsync(st.abortErr)
-			}
-		})
-	return pc, nil
+	return c.persistColl(s, rc, id, "allgather", algo, 1, bytes, func(rc *runCtx, a *opArgs) {
+		rc.runAllGather(algo, dt, count, chunk)
+	}), nil
 }
 
 // Start launches one execution of the pre-built schedule on the stream
@@ -679,11 +559,7 @@ func (pc *PersistentColl) Free() {
 	pc.freed = true
 	pc.st.done++
 	if pc.st.done == pc.c.core.n {
-		for _, pp := range pc.st.pipes {
-			for _, s := range pp.slots {
-				s.Free()
-			}
-		}
+		pc.st.freePipes()
 		pc.st.pipes = nil
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
@@ -16,99 +17,160 @@ import (
 // exact MPI semantics (blocking, standard buffers, mpi datatypes/ops) and
 // transparently picks the MPI or CCL path per the dispatch decision.
 
+// The dispatch pipeline below is shared by one-shot calls (run) and
+// persistent waves (PersistentOp.Start/Wait; see persistent.go for the two
+// intentional differences): admit → breakerGate → syncEnv + the CCL
+// execution → conclude.
+
 // run executes one collective through the decided path, handling the
 // CCL-error fallback (§1.2 advantage 3), the resilience policy (transient
 // retries, circuit breaker), statistics, trace records, and metric
 // aggregation.
 func (x *Comm) run(op OpKind, bytes int64, d decision,
 	cclPath func(cc *ccl.Comm, s *device.Stream) error, mpiPath func()) {
-	// A fenced rank (minority side of a partition) no-ops before anything
-	// else: it lost the quorum vote and must Rejoin, not dispatch.
-	if _, bad := x.rt.fenced[x.mpi.WorldRank()]; bad {
-		if x.failure == nil {
-			x.failure = ErrFenced
-		}
-		return
-	}
-	// A failed handle no-ops: a dead rank must stop participating (its
-	// peers' watchdogs already wrote it off), and a revoked communicator
-	// accepts no new collectives until the survivors Shrink it.
-	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrCommRevoked
-		}
-		return
-	}
-	// A stale-epoch handle no-ops: a Grow superseded this member set, and
-	// interleaving old-epoch collectives with the grown world would remix
-	// the two sides of a healed partition.
-	if x.rt.staleCtx[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrStaleEpoch
-		}
-		return
-	}
-	// Proactive fast-fail: a peer the heartbeat detector has confirmed
-	// dead would stall this collective until the watchdog fires; surface
-	// the same ErrRankDead verdict now instead of paying the timeout.
-	if err := x.suspectErr(op); err != nil {
-		x.noteRankFailure(op, err)
-		return
-	}
-	// Partition fast-fail: a member on the far side of an active cut makes
-	// the collective unrunnable; surface ErrUnreachable in bounded time so
-	// the caller escalates to the quorum Shrink instead of timing out.
-	if err := x.unreachableErr(op); err != nil {
-		x.notePartition(op, err)
+	if x.admit(op) != nil {
 		return
 	}
 	start := x.mpi.Proc().Now()
-	path := PathMPI
-	if d.useCCL && !x.rt.allowCCL(x, op) {
-		// Open breaker: demote to MPI without paying the CCL failure.
-		d.useCCL = false
+	ran := x.breakerGate(op, d.useCCL)
+	var err error
+	if ran {
+		err = x.runResilient(op, cclPath)
+	}
+	x.conclude(op, bytes, start, ran, err, mpiPath)
+}
+
+// admit runs the admission checks, in order: fenced rank → dead or revoked
+// handle → stale epoch → heartbeat-confirmed dead peer → peer across an
+// active cut. A refused operation no-ops; the verdict is latched on the
+// handle (first verdict wins) and returned.
+func (x *Comm) admit(op OpKind) error {
+	// A fenced rank (minority side of a partition) lost the quorum vote and
+	// must Rejoin, not dispatch.
+	if _, bad := x.rt.fenced[x.mpi.WorldRank()]; bad {
+		return x.latch(ErrFenced)
+	}
+	// A dead rank must stop participating (its peers' watchdogs already
+	// wrote it off), and a revoked communicator accepts no new collectives
+	// until the survivors Shrink it.
+	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
+		return x.latch(ErrCommRevoked)
+	}
+	// A Grow superseded this member set: interleaving old-epoch
+	// collectives with the grown world would remix the two sides of a
+	// healed partition.
+	if x.rt.staleCtx[x.mpi.ContextID()] {
+		return x.latch(ErrStaleEpoch)
+	}
+	// Proactive fast-fail: a peer the heartbeat detector has confirmed
+	// dead would stall the operation until the watchdog fires; surface the
+	// same ErrRankDead verdict now instead of paying the timeout.
+	if err := x.suspectErr(op); err != nil {
+		x.noteRankFailure(op, err)
+		return err
+	}
+	// Partition fast-fail: a member on the far side of an active cut makes
+	// the operation unrunnable; surface ErrUnreachable in bounded time so
+	// the caller escalates to the quorum Shrink instead of timing out.
+	if err := x.unreachableErr(op); err != nil {
+		x.notePartition(op, err)
+		return err
+	}
+	return nil
+}
+
+// latch records err as the handle's failure unless one is already set, and
+// returns the handle's failure.
+func (x *Comm) latch(err error) error {
+	if x.failure == nil {
+		x.failure = err
+	}
+	return x.failure
+}
+
+// breakerGate reports whether a CCL decision may dispatch to the CCL: an
+// open (backend, op) breaker demotes it to MPI without paying the CCL
+// failure.
+func (x *Comm) breakerGate(op OpKind, useCCL bool) bool {
+	if useCCL && !x.rt.allowCCL(x, op) {
 		x.rt.stats.BreakerSkips++
 		x.rt.stats.Fallbacks.Error++
 		x.rt.countFallback(op, "breaker_open")
+		return false
 	}
-	if d.useCCL {
-		if err := x.runResilient(op, cclPath); err != nil {
-			if errors.Is(err, ccl.ErrRankDead) {
-				// Fail-stop verdict: retrying cannot succeed and the MPI
-				// fallback would block forever on the dead peer, so
-				// neither the retry loop nor the breaker reacts — the
-				// failure is surfaced for ULFM-style revoke/shrink.
-				x.noteRankFailure(op, err)
-				return
-			}
-			if errors.Is(err, ccl.ErrUnreachable) {
-				// A transfer crossed the cut mid-schedule (the partition
-				// opened after dispatch). Same policy as fail-stop: no
-				// retry, no MPI fallback — surface it for the quorum vote.
-				x.notePartition(op, err)
-				return
-			}
-			x.rt.breakerFailure(x, op)
-			x.rt.stats.Fallbacks.Error++
-			x.rt.stats.MPIOps++
-			x.rt.countFallback(op, "ccl_error")
-			mpiPath()
-		} else {
-			x.rt.breakerSuccess(x, op)
-			path = PathCCL
-			x.rt.stats.CCLOps++
+	return useCCL
+}
+
+// syncEnv brings the CCL communicator in line with the runtime before an
+// execution: the watchdog deadline may have been re-armed, and while a
+// link-degradation window is active the transfers drive fewer fabric
+// channels, so concurrent flows keep a fair share of the shrunken pool
+// (the cap clears once the window passes).
+func (x *Comm) syncEnv(cc *ccl.Comm) {
+	if wd := x.rt.watchdogTimeout(); wd != cc.Watchdog() {
+		cc.SetWatchdog(wd)
+	}
+	if x.rt.policy.Disabled {
+		return
+	}
+	if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
+		budget := lf.ChannelCap
+		if budget <= 0 {
+			budget = (cc.Config().Channels + 1) / 2
 		}
-	} else {
+		cc.SetChannelCap(budget)
+	} else if cc.ChannelCap() != 0 {
+		cc.SetChannelCap(0)
+	}
+}
+
+// cclFailed handles a failed CCL execution and reports whether the rank
+// must abandon the operation. A fail-stop (ErrRankDead) or partition
+// (ErrUnreachable) verdict is latched for ULFM-style recovery or the
+// quorum vote: retrying cannot succeed and the MPI fallback would block on
+// the same peer, so neither the retry loop nor the breaker reacts. Any
+// other error feeds the breaker and the fallback counters; the caller then
+// runs the MPI path.
+func (x *Comm) cclFailed(op OpKind, err error) bool {
+	if errors.Is(err, ccl.ErrRankDead) {
+		x.noteRankFailure(op, err)
+		return true
+	}
+	if errors.Is(err, ccl.ErrUnreachable) {
+		x.notePartition(op, err)
+		return true
+	}
+	x.rt.breakerFailure(x, op)
+	x.rt.stats.Fallbacks.Error++
+	x.rt.countFallback(op, "ccl_error")
+	return false
+}
+
+// conclude finishes an operation that started at start: ran reports
+// whether the CCL path executed and err its verdict. Success credits the
+// breaker; a failure is handled by cclFailed and, unless abandoned, the
+// operation re-executes on the MPI path, as does one that never ran on the
+// CCL. A completed operation emits its trace record and metric aggregates;
+// an abandoned one returns its verdict and emits neither.
+func (x *Comm) conclude(op OpKind, bytes int64, start time.Duration, ran bool, err error, mpiPath func()) error {
+	path := PathMPI
+	switch {
+	case ran && err == nil:
+		x.rt.breakerSuccess(x, op)
+		x.rt.stats.CCLOps++
+		path = PathCCL
+	case ran && x.cclFailed(op, err):
+		return err
+	default:
 		x.rt.stats.MPIOps++
 		mpiPath()
 	}
-	rec := trace.Record{
+	x.rt.emit(trace.Record{
 		Op: string(op), Path: path.String(), Backend: string(x.rt.kind),
 		Rank: x.Rank(), Bytes: bytes,
 		Start: start, Duration: x.mpi.Proc().Now() - start,
-	}
-	x.rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(x.rt.opts.Metrics, rec)
+	})
+	return nil
 }
 
 // Allreduce combines sendBuf into recvBuf across all ranks with op.

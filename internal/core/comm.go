@@ -275,23 +275,7 @@ func (x *Comm) runCCL(fn func(cc *ccl.Comm, s *device.Stream) error) error {
 	if err != nil {
 		return err
 	}
-	if wd := x.rt.watchdogTimeout(); wd != cc.Watchdog() {
-		cc.SetWatchdog(wd)
-	}
-	// React to an active link-degradation window: drive fewer fabric
-	// channels so concurrent flows keep a fair share of the shrunken
-	// pool. Cleared again once the window passes.
-	if !x.rt.policy.Disabled {
-		if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
-			budget := lf.ChannelCap
-			if budget <= 0 {
-				budget = (cc.Config().Channels + 1) / 2
-			}
-			cc.SetChannelCap(budget)
-		} else if cc.ChannelCap() != 0 {
-			cc.SetChannelCap(0)
-		}
-	}
+	x.syncEnv(cc)
 	s := x.rt.stream(x.mpi.WorldRank(), x.Device())
 	if err := fn(cc, s); err != nil {
 		cc.GroupAbort()

@@ -205,6 +205,5 @@ func (rt *Runtime) noteGrow(to int, now time.Duration) {
 		Op: "grow", Backend: string(rt.kind), Rank: -1,
 		Event: "comm_grow", Start: now, Bytes: int64(to),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }

@@ -201,8 +201,7 @@ func (hm *healthMonitor) noteSuspicion(peer, witness int, now time.Duration, out
 		Op: "heartbeat", Backend: string(rt.kind), Rank: witness,
 		Event: event, Start: now, Bytes: int64(peer),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // suspectErr fast-fails a dispatch when the heartbeat detector has

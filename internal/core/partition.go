@@ -116,8 +116,7 @@ func (rt *Runtime) fence(x *Comm, now time.Duration) {
 		Op: "partition", Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "rank_fenced", Start: now, Bytes: int64(wr),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // unfence clears a rank's fence (it is rejoining through the spare pool).
@@ -180,8 +179,7 @@ func (x *Comm) notePartition(op OpKind, err error) {
 		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "rank_unreachable", Start: x.mpi.Proc().Now(),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // Rejoin re-enters the job after this rank fenced itself: it waits out the

@@ -9,23 +9,22 @@ package core
 // plan/scratch/helper setup — and returns a handle whose steady-state
 // Start/Wait run the pre-built schedule with zero heap allocations.
 //
-// Per-wave semantics mirror run() in collectives.go: a fail-stop verdict
-// (ccl.ErrRankDead) is surfaced through Failure() for ULFM-style
-// revoke/shrink and permanently breaks the handle; any other CCL failure
-// feeds the circuit breaker and falls the wave back to the blocking MPI
-// path. The breaker is consulted at Init, not per Start — a per-wave
-// consult would desynchronize the breaker's wave bookkeeping with the
-// one-shot collectives sharing the communicator.
+// Every wave runs the dispatch pipeline of collectives.go — admit,
+// syncEnv, cclFailed, conclude — with two intentional differences: the
+// breaker is consulted at Init, not per Start (a per-wave consult would
+// desynchronize the breaker's wave bookkeeping with the one-shot
+// collectives sharing the communicator), and transient errors are not
+// retried (a transient failure demotes just that wave to MPI). Fail-stop
+// and partition verdicts surface through Failure(); a fail-stop verdict
+// permanently breaks the handle.
 
 import (
 	"errors"
 	"time"
 
 	"mpixccl/internal/ccl"
-	"mpixccl/internal/mpi"
-
 	"mpixccl/internal/device"
-	"mpixccl/internal/trace"
+	"mpixccl/internal/mpi"
 )
 
 // ErrOpFreed reports a Start or Wait on a handle already released by Free.
@@ -49,15 +48,11 @@ var ErrOpDoubleFree = errors.New("xccl: persistent op freed twice")
 // the application must Free it and Init a fresh handle on the survivor
 // communicator (see dl.TrainElastic).
 type PersistentOp struct {
-	x          *Comm
-	kind       OpKind
-	send, recv *device.Buffer
-	count      int
-	dt         mpi.Datatype
-	op         mpi.Op
-	bytes      int64
-	parts      int
-	fb         func() // the blocking MPI algorithm, for demoted waves
+	x     *Comm
+	kind  OpKind
+	bytes int64
+	parts int
+	fb    func() // the blocking MPI algorithm, for demoted waves
 
 	pc *ccl.PersistentColl // nil when the plan decided the MPI path
 	cc *ccl.Comm           // the communicator pc was built on
@@ -87,100 +82,66 @@ func (x *Comm) AllReduceInit(send, recv *device.Buffer, count int, dt mpi.Dataty
 // behaves like AllReduceInit. MPI-path handles ignore partitioning (the
 // blocking MPI algorithm needs the whole payload).
 func (x *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op, parts int) (*PersistentOp, error) {
-	if err := x.persistAlive(); err != nil {
-		return nil, err
-	}
-	bytes := int64(count) * int64(dt.Size())
-	po := &PersistentOp{
-		x: x, kind: OpAllreduce, send: send, recv: recv,
-		count: count, dt: dt, op: op, bytes: bytes, parts: parts,
-		fb: func() { x.mpi.Allreduce(send, recv, count, dt, op) },
-	}
-	d := x.decide(OpAllreduce, bytes, dt, &op, send, recv)
-	return x.persistInit(po, d, func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error) {
-		return cc.AllReduceInitPartitioned(send, recv, count, d.dt, d.op, parts, s)
-	})
+	po := &PersistentOp{kind: OpAllreduce, parts: parts,
+		fb: func() { x.mpi.Allreduce(send, recv, count, dt, op) }}
+	return x.persistInit(po, count, dt, &op, []*device.Buffer{send, recv},
+		func(cc *ccl.Comm, s *device.Stream, d decision) (*ccl.PersistentColl, error) {
+			return cc.AllReduceInitPartitioned(send, recv, count, d.dt, d.op, parts, s)
+		})
 }
 
 // BcastInit builds a persistent broadcast handle (MPI_Bcast_init) over buf,
 // in place, rooted at root. Same Init-once contract as AllReduceInit;
 // broadcast handles are not partitionable.
 func (x *Comm) BcastInit(buf *device.Buffer, count int, dt mpi.Datatype, root int) (*PersistentOp, error) {
-	if err := x.persistAlive(); err != nil {
-		return nil, err
-	}
-	bytes := int64(count) * int64(dt.Size())
-	po := &PersistentOp{
-		x: x, kind: OpBcast, send: buf, recv: buf,
-		count: count, dt: dt, bytes: bytes, parts: 1,
-		fb: func() { x.mpi.Bcast(buf, count, dt, root) },
-	}
-	d := x.decide(OpBcast, bytes, dt, nil, buf)
-	return x.persistInit(po, d, func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error) {
-		return cc.BcastInit(buf, buf, count, d.dt, root, s)
-	})
+	po := &PersistentOp{kind: OpBcast, parts: 1,
+		fb: func() { x.mpi.Bcast(buf, count, dt, root) }}
+	return x.persistInit(po, count, dt, nil, []*device.Buffer{buf},
+		func(cc *ccl.Comm, s *device.Stream, d decision) (*ccl.PersistentColl, error) {
+			return cc.BcastInit(buf, buf, count, d.dt, root, s)
+		})
 }
 
 // AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
 // each wave concatenates every rank's send buffer into recv (size count×n).
 func (x *Comm) AllgatherInit(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer) (*PersistentOp, error) {
-	if err := x.persistAlive(); err != nil {
-		return nil, err
-	}
-	bytes := int64(count) * int64(dt.Size())
-	po := &PersistentOp{
-		x: x, kind: OpAllgather, send: send, recv: recv,
-		count: count, dt: dt, bytes: bytes, parts: 1,
-		fb: func() { x.mpi.Allgather(send, count, dt, recv) },
-	}
-	d := x.decide(OpAllgather, bytes, dt, nil, send, recv)
-	return x.persistInit(po, d, func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error) {
-		return cc.AllgatherInit(send, recv, count, d.dt, s)
-	})
+	po := &PersistentOp{kind: OpAllgather, parts: 1,
+		fb: func() { x.mpi.Allgather(send, count, dt, recv) }}
+	return x.persistInit(po, count, dt, nil, []*device.Buffer{send, recv},
+		func(cc *ccl.Comm, s *device.Stream, d decision) (*ccl.PersistentColl, error) {
+			return cc.AllgatherInit(send, recv, count, d.dt, s)
+		})
 }
 
-// persistAlive rejects Init on a dead or revoked communicator, before the
-// dispatch decision runs (and records its tuning-lookup metrics).
-func (x *Comm) persistAlive() error {
+// persistInit builds any persistent handle: the dead or revoked check
+// (before the dispatch decision runs and records its tuning-lookup
+// metrics), the decision, the breaker consult, CCL communicator
+// rendezvous, algorithm forcing, and the CCL layer's schedule build.
+func (x *Comm) persistInit(po *PersistentOp, count int, dt mpi.Datatype, op *mpi.Op, bufs []*device.Buffer,
+	ccInit func(cc *ccl.Comm, s *device.Stream, d decision) (*ccl.PersistentColl, error)) (*PersistentOp, error) {
 	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrCommRevoked
-		}
-		return x.failure
+		return nil, x.latch(ErrCommRevoked)
 	}
-	return nil
-}
-
-// persistInit finishes handle construction for any persistent collective:
-// liveness check, breaker consult, CCL communicator rendezvous, algorithm
-// forcing, and the CCL layer's schedule build.
-func (x *Comm) persistInit(po *PersistentOp, d decision,
-	ccInit func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error)) (*PersistentOp, error) {
-	if d.useCCL && !x.rt.allowCCL(x, po.kind) {
-		// Open breaker at plan time: the handle is demoted to the MPI path
-		// for its whole lifetime, exactly as one one-shot call would be for
-		// one wave. Rebuild the handle after the breaker closes to return
-		// to the CCL.
-		d.useCCL = false
-		x.rt.stats.BreakerSkips++
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(po.kind, "breaker_open")
-	}
-	if !d.useCCL {
+	po.x = x
+	po.bytes = int64(count) * int64(dt.Size())
+	d := x.decide(po.kind, po.bytes, dt, op, bufs...)
+	// An open breaker at plan time demotes the handle to the MPI path for
+	// its whole lifetime, exactly as one one-shot call would be for one
+	// wave. Rebuild the handle after the breaker closes to return to the
+	// CCL.
+	if !x.breakerGate(po.kind, d.useCCL) {
 		return po, nil
 	}
 	cc, err := x.cclComm()
 	if err != nil {
 		// Communicator creation failures behave like any CCL error:
 		// breaker feedback, fallback counters, MPI-path handle.
-		x.rt.breakerFailure(x, po.kind)
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(po.kind, "ccl_error")
+		x.cclFailed(po.kind, err)
 		return po, nil
 	}
 	cc.SetAlgorithm(d.algo, d.chunk)
 	s := x.rt.stream(x.mpi.WorldRank(), x.Device())
-	pc, err := ccInit(cc, s)
+	pc, err := ccInit(cc, s, d)
 	if err != nil {
 		// Init-time CCL errors are argument/plan errors, not runtime
 		// failures: surface them instead of silently demoting.
@@ -192,45 +153,19 @@ func (x *Comm) persistInit(po *PersistentOp, d decision,
 }
 
 // Start launches one execution of the pre-built schedule without
-// blocking. Fault hooks are probed here, per wave, exactly as per
-// one-shot call: a fail-stopped rank's Start fails fast and records the
-// verdict on the handle's communicator. Any other injected failure
-// demotes just this wave to the MPI path (executed in Wait) with breaker
-// feedback. Start on a revoked communicator no-ops with ErrCommRevoked;
-// Start on a freed handle no-ops with ErrOpFreed.
+// blocking. The admission checks and fault hooks run here, per wave,
+// exactly as per one-shot call: a refused wave no-ops with the latched
+// verdict (ErrFenced, ErrCommRevoked, ErrStaleEpoch, ErrRankDead,
+// ErrUnreachable), and a fail-stopped rank's Start fails fast. Any other
+// injected failure demotes just this wave to the MPI path (executed in
+// Wait) with breaker feedback. Start on a freed handle no-ops with
+// ErrOpFreed.
 func (po *PersistentOp) Start() error {
 	x := po.x
 	if po.freed {
 		return ErrOpFreed
 	}
-	if _, bad := x.rt.fenced[x.mpi.WorldRank()]; bad {
-		if x.failure == nil {
-			x.failure = ErrFenced
-		}
-		return x.failure
-	}
-	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrCommRevoked
-		}
-		return x.failure
-	}
-	if x.rt.staleCtx[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrStaleEpoch
-		}
-		return x.failure
-	}
-	// Heartbeat fast-fail, mirroring run(): a confirmed-dead peer cannot
-	// join this wave, so surface the verdict before launching.
-	if err := x.suspectErr(po.kind); err != nil {
-		x.noteRankFailure(po.kind, err)
-		return err
-	}
-	// Partition fast-fail, mirroring run(): a severed peer cannot join
-	// this wave either.
-	if err := x.unreachableErr(po.kind); err != nil {
-		x.notePartition(po.kind, err)
+	if err := x.admit(po.kind); err != nil {
 		return err
 	}
 	po.start = x.mpi.Proc().Now()
@@ -239,37 +174,12 @@ func (po *PersistentOp) Start() error {
 	if po.pc == nil {
 		return nil
 	}
-	// Per-wave environment sync, as runCCL does per one-shot call: the
-	// watchdog deadline may have been re-armed and a fabric degradation
-	// window may have opened or closed since the last wave.
-	if wd := x.rt.watchdogTimeout(); wd != po.cc.Watchdog() {
-		po.cc.SetWatchdog(wd)
-	}
-	if !x.rt.policy.Disabled {
-		if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
-			budget := lf.ChannelCap
-			if budget <= 0 {
-				budget = (po.cc.Config().Channels + 1) / 2
-			}
-			po.cc.SetChannelCap(budget)
-		} else if po.cc.ChannelCap() != 0 {
-			po.cc.SetChannelCap(0)
-		}
-	}
+	x.syncEnv(po.cc)
 	if err := po.pc.Start(); err != nil {
-		if errors.Is(err, ccl.ErrRankDead) {
-			x.noteRankFailure(po.kind, err)
+		if x.cclFailed(po.kind, err) {
 			po.inflight = false
 			return err
 		}
-		if errors.Is(err, ccl.ErrUnreachable) {
-			x.notePartition(po.kind, err)
-			po.inflight = false
-			return err
-		}
-		x.rt.breakerFailure(x, po.kind)
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(po.kind, "ccl_error")
 		po.demoted = true
 	}
 	return nil
@@ -293,12 +203,11 @@ func (po *PersistentOp) PreadyAll() {
 	po.pc.PreadyAll()
 }
 
-// Wait blocks until the launched wave completes, with run()'s full error
-// handling: a fail-stop verdict surfaces through Failure() and returns
-// without a trace record (the rank abandoned the operation); any other
-// CCL failure feeds the breaker and re-executes the wave on the blocking
-// MPI path; success credits the breaker. Every completed wave emits the
-// same trace record and metric aggregates as a one-shot call.
+// Wait blocks until the launched wave completes and concludes it exactly
+// as a one-shot call concludes: a fail-stop or partition verdict surfaces
+// through Failure() and returns without a trace record (the rank abandoned
+// the operation); any other CCL failure feeds the breaker and re-executes
+// the wave on the blocking MPI path; success credits the breaker.
 func (po *PersistentOp) Wait() error {
 	x := po.x
 	if po.freed {
@@ -308,45 +217,12 @@ func (po *PersistentOp) Wait() error {
 		return x.failure
 	}
 	po.inflight = false
-	path := PathMPI
-	if po.pc != nil && !po.demoted {
-		err := po.pc.Wait(x.mpi.Proc())
-		if err != nil {
-			if errors.Is(err, ccl.ErrRankDead) {
-				// Fail-stop: retrying cannot succeed and the MPI fallback
-				// would block forever on the dead peer. The handle is
-				// permanently broken; rebuild it after Shrink.
-				x.noteRankFailure(po.kind, err)
-				return err
-			}
-			if errors.Is(err, ccl.ErrUnreachable) {
-				// Severed by a partition: same reasoning — the MPI fallback
-				// crosses the same cut. Rebuild after the quorum shrink.
-				x.notePartition(po.kind, err)
-				return err
-			}
-			x.rt.breakerFailure(x, po.kind)
-			x.rt.stats.Fallbacks.Error++
-			x.rt.stats.MPIOps++
-			x.rt.countFallback(po.kind, "ccl_error")
-			po.fb()
-		} else {
-			x.rt.breakerSuccess(x, po.kind)
-			path = PathCCL
-			x.rt.stats.CCLOps++
-		}
-	} else {
-		x.rt.stats.MPIOps++
-		po.fb()
+	ran := po.pc != nil && !po.demoted
+	var err error
+	if ran {
+		err = po.pc.Wait(x.mpi.Proc())
 	}
-	rec := trace.Record{
-		Op: string(po.kind), Path: path.String(), Backend: string(x.rt.kind),
-		Rank: x.Rank(), Bytes: po.bytes,
-		Start: po.start, Duration: x.mpi.Proc().Now() - po.start,
-	}
-	x.rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(x.rt.opts.Metrics, rec)
-	return nil
+	return x.conclude(po.kind, po.bytes, po.start, ran, err, po.fb)
 }
 
 // Do runs one complete wave: Start, every partition ready, Wait. With

@@ -241,8 +241,7 @@ func (rt *Runtime) noteBreaker(op OpKind, to breakerState, now time.Duration) {
 		Op: string(op), Backend: string(rt.kind), Rank: -1,
 		Event: "breaker_" + to.String(), Start: now,
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // countRetry publishes one transient-failure reissue.
@@ -260,8 +259,7 @@ func (rt *Runtime) countRetry(x *Comm, op OpKind, err error) {
 		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "retry", Start: x.mpi.Proc().Now(),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // runResilient executes the CCL path under the retry policy: a transient

@@ -71,8 +71,7 @@ func (x *Comm) noteRankFailure(op OpKind, err error) {
 		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "rank_dead", Start: x.mpi.Proc().Now(),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // Revoke marks the communicator revoked (MPI_Comm_revoke): every rank's
@@ -102,8 +101,7 @@ func (x *Comm) Revoke() {
 		Op: "revoke", Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "comm_revoked", Start: now,
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }
 
 // shrinkState coordinates one Shrink across the survivors of a revoked
@@ -239,6 +237,5 @@ func (rt *Runtime) noteShrink(x *Comm, to, cut int, now time.Duration) {
 		Op: "shrink", Backend: string(rt.kind), Rank: -1,
 		Event: "comm_shrink", Start: now, Bytes: int64(to),
 	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	rt.emit(rec)
 }

@@ -323,6 +323,13 @@ func (rt *Runtime) countFallback(op OpKind, cause string) {
 		metrics.Labels{"op": string(op), "cause": cause, "backend": string(rt.kind)}).Inc()
 }
 
+// emit publishes one record to the trace recorder and the metrics
+// registry.
+func (rt *Runtime) emit(rec trace.Record) {
+	rt.opts.Trace.Add(rec)
+	trace.RecordMetrics(rt.opts.Metrics, rec)
+}
+
 // countTuning bumps the tuning-table lookup counter: decision is the path
 // the table chose, hit reports whether a tuned rule decided it (vs the
 // CCL default for ops without a rule).
