@@ -2,7 +2,9 @@ package elem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -151,20 +153,62 @@ func TestReduceComplexMaxPanics(t *testing.T) {
 	Reduce(OpMax, C128, make([]byte, 16), make([]byte, 16), 1)
 }
 
-// Property: OpSum over I64 agrees with native integer addition for values
-// that fit in the float64-exact range.
+// Property: OpSum over I64 is exact integer addition over the full int64
+// range, saturating to MinInt64/MaxInt64 where the sum leaves it.
 func TestReduceSumI64Property(t *testing.T) {
-	f := func(a, b int32) bool {
+	f := func(a, b int64) bool {
 		x := make([]byte, 8)
 		y := make([]byte, 8)
-		Set(I64, x, 0, float64(a), 0)
-		Set(I64, y, 0, float64(b), 0)
+		binary.LittleEndian.PutUint64(x, uint64(a))
+		binary.LittleEndian.PutUint64(y, uint64(b))
 		Reduce(OpSum, I64, x, y, 1)
-		re, _ := Get(I64, x, 0)
-		return re == float64(int64(a)+int64(b))
+		want := new(big.Int).Add(big.NewInt(a), big.NewInt(b))
+		switch {
+		case want.Cmp(big.NewInt(math.MaxInt64)) > 0:
+			want.SetInt64(math.MaxInt64)
+		case want.Cmp(big.NewInt(math.MinInt64)) < 0:
+			want.SetInt64(math.MinInt64)
+		}
+		return int64(binary.LittleEndian.Uint64(x)) == want.Int64()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// I64 reduces in int64, not through float64: values above 2^53 keep every
+// bit, and out-of-range sums and products saturate like I32's clamp. Each
+// case runs on aligned and on odd-address buffers.
+func TestReduceI64Exact(t *testing.T) {
+	cases := []struct {
+		op         Op
+		a, b, want int64
+	}{
+		{OpMax, 1<<62 + 1, 1<<62 + 1, 1<<62 + 1},
+		{OpSum, 1<<53 + 1, 0, 1<<53 + 1},
+		{OpMin, -1<<62 - 1, 1 << 62, -1<<62 - 1},
+		{OpMax, -1<<62 - 1, 1<<62 + 3, 1<<62 + 3},
+		{OpProd, 1<<31 + 1, 1<<31 - 1, 1<<62 - 1},
+		{OpSum, math.MaxInt64, 1, math.MaxInt64},
+		{OpSum, math.MinInt64, -1, math.MinInt64},
+		{OpSum, math.MaxInt64, math.MinInt64, -1},
+		{OpProd, 1 << 32, 1 << 32, math.MaxInt64},
+		{OpProd, 1 << 32, -1 << 32, math.MinInt64},
+		{OpProd, math.MinInt64, -1, math.MaxInt64},
+		{OpProd, -1, math.MinInt64, math.MaxInt64},
+		{OpProd, math.MinInt64, 1, math.MinInt64},
+		{OpProd, 0, math.MinInt64, 0},
+	}
+	for _, c := range cases {
+		for _, buf := range []func(int) []byte{aligned, unaligned} {
+			a, b, d := buf(8), buf(8), buf(8)
+			binary.LittleEndian.PutUint64(a, uint64(c.a))
+			binary.LittleEndian.PutUint64(b, uint64(c.b))
+			ReduceTo(c.op, I64, d, a, b, 1)
+			if got := int64(binary.LittleEndian.Uint64(d)); got != c.want {
+				t.Errorf("op %d (%d, %d) = %d, want %d", int(c.op), c.a, c.b, got, c.want)
+			}
+		}
 	}
 }
 

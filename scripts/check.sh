@@ -10,6 +10,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# The float32 sum kernel is amd64 assembly; cross-vet the packages that
+# reach it for arm64 so the portable stub keeps building (a standard-library
+# cross-build, no download).
+GOARCH=arm64 go vet ./internal/elem ./internal/ccl ./internal/mpi
 go build ./...
 go test ./...
 # Docs are a public surface too: every relative link and repo path they
@@ -48,7 +52,9 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # adds the compiled executor: every plan strategy's primitive DAG runs its
 # steps through the same pooled pipes. TestDirectRead covers the pipes'
 # direct reads of peer buffers: a straggler still reading while its peers
-# reuse their buffers, and the staged path under corruption.
+# reuse their buffers, and the staged path under corruption. Those reads
+# are reductions; -race builds leave out elem's assembly kernel, which the
+# detector cannot see, so they stay instrumented.
 go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestDirectRead' mpixccl/internal/ccl
 # Bench smoke: one fixed iteration proves the benchmark harness still
 # runs end to end (full baselines come from scripts/bench.sh).
