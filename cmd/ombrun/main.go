@@ -41,7 +41,6 @@ func main() {
 	system := flag.String("system", "thetagpu", "thetagpu|mri|voyager")
 	nodes := flag.Int("nodes", 1, "node count")
 	ranks := flag.Int("ranks", 0, "total ranks (0 = one per device)")
-	shards := flag.Int("shards", 1, "event-engine scheduler shards (results identical at any count)")
 	stack := flag.String("stack", string(omb.StackHybrid),
 		"hybrid-xccl|pure-xccl|mpi|openmpi-ucx|openmpi-ucx-ucc|pure-ccl")
 	backend := flag.String("backend", "auto", "auto|nccl|rccl|hccl|msccl")
@@ -68,7 +67,7 @@ func main() {
 		reg = metrics.NewRegistry()
 	}
 	cfg := omb.Config{
-		System: *system, Nodes: *nodes, Ranks: *ranks, Shards: *shards,
+		System: *system, Nodes: *nodes, Ranks: *ranks,
 		Stack: omb.Stack(*stack), Backend: core.BackendKind(*backend),
 		MinBytes: *min, MaxBytes: *max, Iterations: *iters, Metrics: reg,
 		Persistent: *persistent, Compile: *compile,

@@ -58,8 +58,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (or 'all')")
 	scaleFlag := flag.String("scale", "quick",
 		"quick or full (paper-size node counts and sweeps); or ranks=N[,shards=M] to run the scaling sweep instead of exhibits")
-	shards := flag.Int("shards", 1,
-		"event-engine scheduler shards for exhibit worlds (output is byte-identical at any count)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallel := flag.Int("parallel", 0, "max experiments in flight (0 = one per CPU, 1 = serial)")
 	metricsFile := flag.String("metrics", "",
@@ -85,7 +83,6 @@ func main() {
 	experiments.SetHierarchical(*hier)
 	experiments.SetPersistent(*persistent)
 	experiments.SetCompile(*compile)
-	experiments.SetShards(*shards)
 
 	if *crash != "" {
 		var rank, step int
@@ -137,7 +134,12 @@ func main() {
 		return
 	}
 	if strings.HasPrefix(*scaleFlag, "ranks=") {
-		if err := runScaleSweep(*scaleFlag); err != nil {
+		ranks, maxShards, err := parseScaleSpec(*scaleFlag)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
+			os.Exit(2)
+		}
+		if err := runScaleSweep(ranks, maxShards); err != nil {
 			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -208,16 +210,25 @@ func main() {
 	}
 }
 
-// runScaleSweep handles -scale ranks=N[,shards=M]: the 4096-rank-class
-// hierarchical AllReduce scaling model, run once per shard count (powers of
-// two up to M, plus M itself) and printed as one wall/virt table. Virtual
-// times must be identical down the column; wall time is where shards pay
-// off on multi-core hosts.
-func runScaleSweep(spec string) error {
-	ranks, maxShards := 0, 1
-	if n, err := fmt.Sscanf(spec, "ranks=%d,shards=%d", &ranks, &maxShards); err != nil && n < 1 {
-		return fmt.Errorf("bad -scale %q (want ranks=N[,shards=M])", spec)
+// parseScaleSpec parses -scale ranks=N[,shards=M]; both counts must be
+// positive (shards defaults to 1).
+func parseScaleSpec(spec string) (ranks, maxShards int, err error) {
+	maxShards = 1
+	if n, serr := fmt.Sscanf(spec, "ranks=%d,shards=%d", &ranks, &maxShards); serr != nil && n < 1 {
+		return 0, 0, fmt.Errorf("bad -scale %q (want ranks=N[,shards=M])", spec)
 	}
+	if ranks < 1 || maxShards < 1 {
+		return 0, 0, fmt.Errorf("bad -scale %q: ranks and shards must be at least 1", spec)
+	}
+	return ranks, maxShards, nil
+}
+
+// runScaleSweep runs the 4096-rank-class hierarchical AllReduce scaling
+// model once per shard count (powers of two up to maxShards, plus
+// maxShards itself) and prints one wall/virt table. Virtual times must be
+// identical down the column; wall time is where shards pay off on
+// multi-core hosts.
+func runScaleSweep(ranks, maxShards int) error {
 	var counts []int
 	for s := 1; s <= maxShards; s *= 2 {
 		counts = append(counts, s)

@@ -248,10 +248,9 @@ type Injector interface {
 	CommInitError(backend string, rank int, now time.Duration) *Error
 }
 
-// staticInjector adapts the legacy Config.InjectFailure flag to the
-// Injector hook: every collective and p2p call fails, communicator
-// creation still succeeds (a broken build initializes fine and fails at
-// first use, like the paper's NCCL 2.18.3).
+// staticInjector is the Injector behind StaticFailure: every collective
+// and p2p call fails, communicator creation still succeeds (a broken build
+// initializes fine and fails at first use, like the paper's NCCL 2.18.3).
 type staticInjector struct {
 	backend string
 	result  Result
@@ -266,8 +265,9 @@ func (s *staticInjector) OpDelay(string, string, int, time.Duration) time.Durati
 func (s *staticInjector) CommInitError(string, int, time.Duration) *Error { return nil }
 
 // StaticFailure returns an Injector that fails every collective and
-// point-to-point call with result — the modern form of the legacy
-// Config.InjectFailure flag.
+// point-to-point call with result — a broken library build (the paper's
+// NCCL 2.18.3 + TensorFlow version conflict, which the xCCL layer bypasses
+// by falling back to MPI). Set it as Config.Faults.
 func StaticFailure(backend string, result Result) Injector {
 	return &staticInjector{backend: backend, result: result}
 }
@@ -326,17 +326,10 @@ type Config struct {
 	// InterNodePenalty scales wire time for inter-node steps of
 	// collective algorithms (protocol/proxy inefficiency), 1.0 = none.
 	InterNodePenalty float64
-	// InjectFailure, when not Success, makes every collective and
-	// point-to-point call fail with that result — modeling a broken
-	// library build (the paper's NCCL 2.18.3 + TensorFlow version
-	// conflict, which the xCCL layer bypasses by falling back to MPI).
-	// NewComms routes it through the Faults hook (see StaticFailure), so
-	// both injection paths share one code path.
-	InjectFailure Result
 	// Faults, when non-nil, is consulted at every collective, p2p, and
-	// comm-init call site. Takes precedence over InjectFailure. When nil,
-	// NewComms falls back to InjectFailure and then to any fault agent
-	// attached to the fabric (fabric.Fabric.SetFaults).
+	// comm-init call site (StaticFailure models a broken build). When nil,
+	// NewComms falls back to any fault agent attached to the fabric
+	// (fabric.Fabric.SetFaults).
 	Faults Injector
 }
 

@@ -229,10 +229,9 @@ type p2pSlot struct {
 
 // NewComms builds a communicator over the given devices and returns the
 // per-rank handles. It validates that the backend can drive every device
-// and consults the fault hook (explicit cfg.Faults, then the legacy
-// InjectFailure flag, then any agent attached to the fabric) for an
-// injected comm-init failure: if any rank's init is failed, the whole
-// creation fails, as ncclCommInitAll would.
+// and consults the fault hook (explicit cfg.Faults, then any agent
+// attached to the fabric) for an injected comm-init failure: if any rank's
+// init is failed, the whole creation fails, as ncclCommInitAll would.
 func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, error) {
 	if len(devs) == 0 {
 		return nil, &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Msg: "no devices"}
@@ -244,9 +243,6 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 		}
 	}
 	inj := cfg.Faults
-	if inj == nil && cfg.InjectFailure != Success {
-		inj = StaticFailure(cfg.Name, cfg.InjectFailure)
-	}
 	if inj == nil && fab != nil {
 		if a, ok := fab.Faults().(Injector); ok {
 			inj = a

@@ -58,7 +58,7 @@ func VersionConfig(version string) ccl.Config {
 		cfg.TreeThreshold = 128 << 10
 		cfg.StepCost = 1600 * time.Nanosecond
 	case BrokenVersion:
-		cfg.InjectFailure = ccl.ErrInternal
+		cfg.Faults = ccl.StaticFailure(cfg.Name, ccl.ErrInternal)
 	}
 	return cfg
 }

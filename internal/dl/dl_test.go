@@ -200,3 +200,12 @@ func TestUnknownSystem(t *testing.T) {
 		t.Fatal("unknown system accepted")
 	}
 }
+
+func TestRejectsNonPositiveNodes(t *testing.T) {
+	if _, err := Train(Config{Nodes: -1}); err == nil {
+		t.Error("Train accepted -1 nodes")
+	}
+	if _, err := TrainElastic(Config{Nodes: -1}); err == nil {
+		t.Error("TrainElastic accepted -1 nodes")
+	}
+}

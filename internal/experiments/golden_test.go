@@ -93,34 +93,3 @@ func TestGoldenVirtualTime(t *testing.T) {
 		})
 	}
 }
-
-// TestGoldenShardInvariance proves the windowed sharded engine is an
-// identity transformation for adopted exhibit worlds: regenerating exhibits
-// at -shards 4 must reproduce the same pinned snapshots byte for byte. The
-// default subset — one omb exhibit, one tuner exhibit, one dl exhibit —
-// covers the world constructors that adopt the engine; XCCL_GOLDEN_FULL
-// widens it to every exhibit in the golden file.
-func TestGoldenShardInvariance(t *testing.T) {
-	if *updateGolden {
-		t.Skip("golden update runs serial")
-	}
-	golden := readGolden(t)
-	SetShards(4)
-	t.Cleanup(func() { SetShards(1) })
-	ids := []string{"fig1a", "fig4", "elastic"}
-	if os.Getenv("XCCL_GOLDEN_FULL") != "" {
-		ids = IDs()
-	}
-	for _, id := range ids {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			got, err := Run(id, Quick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != golden[id] {
-				t.Errorf("sharded regeneration drifted from the serial golden.\n--- want ---\n%s\n--- got ---\n%s", golden[id], got)
-			}
-		})
-	}
-}

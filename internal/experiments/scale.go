@@ -162,6 +162,9 @@ func (c *ScaleConfig) fillDefaults() {
 // RunScale executes the scale model and reports the result.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	cfg.fillDefaults()
+	if cfg.Ranks < 0 || cfg.Shards < 0 {
+		return ScaleResult{}, fmt.Errorf("scale: negative ranks %d or shards %d", cfg.Ranks, cfg.Shards)
+	}
 	tcfg, err := topology.PresetConfig(cfg.System, 1)
 	if err != nil {
 		return ScaleResult{}, err

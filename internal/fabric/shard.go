@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mpixccl/internal/device"
 	"mpixccl/internal/sim"
 	"mpixccl/internal/topology"
 )
@@ -19,7 +18,6 @@ import (
 // on different shards) is priced by the pure InterTime and carried as
 // engine injections by the model.
 type Sharded struct {
-	eng   *sim.Sharded
 	part  topology.Partition
 	inter topology.Link
 	sys   []*topology.System
@@ -33,7 +31,7 @@ func NewSharded(eng *sim.Sharded, cfg topology.Config, part topology.Partition) 
 	if eng.Shards() != part.Shards {
 		panic(fmt.Sprintf("fabric: engine has %d shards, partition %d", eng.Shards(), part.Shards))
 	}
-	s := &Sharded{eng: eng, part: part, inter: cfg.Inter}
+	s := &Sharded{part: part, inter: cfg.Inter}
 	for i := 0; i < part.Shards; i++ {
 		c := cfg
 		c.NumNodes = part.NodesOn(i)
@@ -44,9 +42,6 @@ func NewSharded(eng *sim.Sharded, cfg topology.Config, part topology.Partition) 
 	return s
 }
 
-// Engine returns the owning sharded engine.
-func (s *Sharded) Engine() *sim.Sharded { return s.eng }
-
 // Partition returns the node-to-shard map.
 func (s *Sharded) Partition() topology.Partition { return s.part }
 
@@ -56,23 +51,8 @@ func (s *Sharded) Fabric(i int) *Fabric { return s.fab[i] }
 // System returns shard i's local sub-system.
 func (s *Sharded) System(i int) *topology.System { return s.sys[i] }
 
-// Lookahead returns the engine's conservative horizon: the inter-node α.
-func (s *Sharded) Lookahead() time.Duration { return s.part.Lookahead(s.inter) }
-
 // Inter returns the inter-node link class.
 func (s *Sharded) Inter() topology.Link { return s.inter }
-
-// Device resolves a (global node, local device) pair to the owning shard's
-// device object.
-func (s *Sharded) Device(globalNode, dev int) *device.Device {
-	shard := s.part.ShardOf(globalNode)
-	return s.sys[shard].Nodes[s.part.LocalNode(globalNode)].Devices[dev]
-}
-
-// SetFaults attaches a fault agent to shard i's fabric. Agents must not be
-// shared across shards: give each shard its own identically-seeded plan so
-// degrader and corruption state stay thread-local.
-func (s *Sharded) SetFaults(i int, agent any) { s.fab[i].SetFaults(agent) }
 
 // InterTime prices one inter-node hop as a pure function, splitting the
 // cost the way a cross-shard sender needs it: the sender sleeps serialize

@@ -280,6 +280,32 @@ func TestUnknownStackAndSystem(t *testing.T) {
 	}
 }
 
+// Configs that cannot run are rejected with an error, never a panic or a
+// silently defaulted sweep.
+func TestConfigRejectsBadInput(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative nodes", Config{Nodes: -1}},
+		{"min above max", Config{MinBytes: 64, MaxBytes: 8}},
+		{"negative ranks", Config{Ranks: -2}},
+		{"negative iterations", Config{Iterations: -1}},
+		{"negative warmup", Config{Warmup: -1}},
+		{"negative min bytes", Config{MinBytes: -4, MaxBytes: 64}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := RunCollective(tc.cfg, Allreduce); err == nil {
+				t.Error("RunCollective accepted the config")
+			}
+			if _, err := RunPt2Pt(tc.cfg, LatencyBench); err == nil {
+				t.Error("RunPt2Pt accepted the config")
+			}
+		})
+	}
+}
+
 // All five collectives complete and return monotone-in-size latency on
 // every system preset (smoke coverage for Figs 5–6 machinery).
 func TestAllCollectivesAllSystemsSmoke(t *testing.T) {

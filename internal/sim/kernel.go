@@ -137,12 +137,6 @@ type Kernel struct {
 	// and all parked processes intact for the next window.
 	bounded bool
 	horizon Time
-
-	// Shard identity: a kernel created by (or adopted into) a Sharded engine
-	// knows its shard index and owner so Run can delegate to the engine's
-	// window loop.
-	shard int
-	owner *Sharded
 }
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
@@ -275,18 +269,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events until the queue drains or Stop is called. It returns a
 // *DeadlockError if processes remain blocked with no pending events.
-//
-// A kernel adopted into a Sharded engine delegates to the engine's window
-// loop, so existing call sites (omb, dl, mpi job runners) work unchanged
-// whether the world is serial or sharded.
 func (k *Kernel) Run() error {
-	if k.owner != nil {
-		return k.owner.Run()
-	}
-	return k.runSerial()
-}
-
-func (k *Kernel) runSerial() error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
 	}
@@ -325,10 +308,6 @@ func (k *Kernel) nextAt() (Time, bool) {
 	}
 	return k.queue[0].at, true
 }
-
-// Shard reports the kernel's shard index within its owning Sharded engine
-// (0 for a standalone kernel).
-func (k *Kernel) Shard() int { return k.shard }
 
 // RunFor executes events until virtual time advances past the given horizon,
 // then stops. Events at exactly now+d still run.

@@ -24,7 +24,7 @@ import (
 //
 // # Cross-shard messages
 //
-// Code running on shard i sends to shard j with Inject/Send: a timestamped
+// Code running on shard i sends to shard j with Inject: a timestamped
 // event injection buffered in shard i's outbox (single-writer: only the
 // goroutine holding shard i's scheduler token appends). At the window
 // barrier the coordinator merges all outboxes, sorts by (timestamp, sender
@@ -40,7 +40,7 @@ import (
 // Each shard is a full deterministic Kernel; all mutable model state must be
 // shard-local (touched only by processes of one shard) or handed off through
 // injections. Under that discipline the virtual-time trace is bit-identical
-// for any shard count, which the golden-trace and scale tests assert.
+// for any shard count, which the ring and scale-model tests assert.
 type Sharded struct {
 	shards    []*Kernel
 	lookahead Time
@@ -77,41 +77,7 @@ func NewSharded(n int, lookahead Time) *Sharded {
 		injSeq:    make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
-		k := NewKernel()
-		k.shard, k.owner = i, s
-		s.shards = append(s.shards, k)
-	}
-	return s
-}
-
-// Adopt wraps an existing kernel as shard 0 of a new n-shard engine,
-// creating n-1 fresh peers. Worlds whose processes share Go state freely
-// (every exhibit world: cross-rank sim channels, shared schedules) cannot be
-// partitioned after the fact; adopting keeps them on one shard — the peers
-// stay inert and the engine degenerates to windowed serial execution with
-// identical virtual-time results — while kernel.Run call sites transparently
-// go through the window loop. Must be called before the kernel runs.
-func Adopt(k *Kernel, n int, lookahead Time) *Sharded {
-	if k.owner != nil {
-		panic("sim: kernel already belongs to a sharded engine")
-	}
-	if k.running {
-		panic("sim: cannot adopt a running kernel")
-	}
-	if n < 1 {
-		panic("sim: Adopt needs at least one shard")
-	}
-	s := &Sharded{
-		lookahead: lookahead,
-		outbox:    make([][]injection, n),
-		injSeq:    make([]uint64, n),
-	}
-	k.shard, k.owner = 0, s
-	s.shards = append(s.shards, k)
-	for i := 1; i < n; i++ {
-		p := NewKernel()
-		p.shard, p.owner = i, s
-		s.shards = append(s.shards, p)
+		s.shards = append(s.shards, NewKernel())
 	}
 	return s
 }
@@ -122,9 +88,6 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Kernel returns shard i's kernel, for spawning processes and building
 // shard-local worlds.
 func (s *Sharded) Kernel(i int) *Kernel { return s.shards[i] }
-
-// Lookahead reports the conservative horizon the engine was built with.
-func (s *Sharded) Lookahead() Time { return s.lookahead }
 
 // Now reports the engine clock: the maximum shard clock (the completion time
 // of the last event executed anywhere).
@@ -163,14 +126,6 @@ func (s *Sharded) Inject(from, to int, at Time, fn func()) {
 	}
 	s.outbox[from] = append(s.outbox[from], injection{at: at, from: from, seq: s.injSeq[from], to: to, fn: fn})
 	s.injSeq[from]++
-}
-
-// Send is the process-level convenience over Inject: deliver fn on shard to
-// after delay of virtual time from p's current instant. delay must be at
-// least the lookahead (physically: a cross-shard hop costs at least the
-// minimum link latency).
-func (s *Sharded) Send(p *Proc, to int, delay Time, fn func()) {
-	s.Inject(p.k.shard, to, p.Now()+delay, fn)
 }
 
 // minNext returns the earliest pending event time across all shards.
@@ -254,8 +209,8 @@ func (s *Sharded) Run() error {
 			// Cannot happen: minNext found t < horizon on some shard.
 			panic("sim: window with no active shard")
 		case 1:
-			// Single busy shard (the adopted-world degeneration): run it on
-			// the coordinator goroutine, no hand-off.
+			// Single busy shard (always so for a one-shard engine): run it
+			// on the coordinator goroutine, no hand-off.
 			active[0].runWindow(horizon)
 		default:
 			var wg sync.WaitGroup

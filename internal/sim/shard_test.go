@@ -31,7 +31,7 @@ func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time
 				// Two full laps.
 				v := uint64(1)
 				next := (n + 1) % nodes
-				s.Send(p, shardOf(next), hop, func() {
+				s.Inject(shardOf(n), shardOf(next), p.Now()+hop, func() {
 					if !mail[next].TrySend(v) {
 						panic("mailbox full")
 					}
@@ -41,7 +41,7 @@ func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time
 					if lap == 0 {
 						next := (n + 1) % nodes
 						w := v + 1
-						s.Send(p, shardOf(next), hop, func() {
+						s.Inject(shardOf(n), shardOf(next), p.Now()+hop, func() {
 							if !mail[next].TrySend(w) {
 								panic("mailbox full")
 							}
@@ -56,7 +56,7 @@ func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time
 				p.Sleep(50 * time.Nanosecond) // per-hop processing
 				next := (n + 1) % nodes
 				w := v + 1
-				s.Send(p, shardOf(next), hop, func() {
+				s.Inject(shardOf(n), shardOf(next), p.Now()+hop, func() {
 					if !mail[next].TrySend(w) {
 						panic("mailbox full")
 					}
@@ -113,49 +113,6 @@ func TestShardedInjectLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-func TestAdoptedKernelRunsSerially(t *testing.T) {
-	// The same single-kernel program must produce identical virtual results
-	// standalone and adopted as shard 0 of a 4-shard engine (peers inert).
-	build := func(k *Kernel) *Time {
-		done := new(Time)
-		ch := NewChan[int](k, 1)
-		k.Spawn("producer", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(700 * time.Nanosecond)
-				ch.Send(p, i)
-			}
-		})
-		k.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				ch.Recv(p)
-				p.Sleep(300 * time.Nanosecond)
-			}
-			*done = p.Now()
-		})
-		return done
-	}
-
-	serial := NewKernel()
-	sDone := build(serial)
-	if err := serial.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	adopted := NewKernel()
-	eng := Adopt(adopted, 4, 2500*time.Nanosecond)
-	aDone := build(adopted)
-	if adopted.Shard() != 0 || eng.Shards() != 4 {
-		t.Fatalf("adopt wiring: shard=%d shards=%d", adopted.Shard(), eng.Shards())
-	}
-	// kernel.Run must transparently delegate to the engine's window loop.
-	if err := adopted.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if *aDone != *sDone || adopted.Now() != serial.Now() {
-		t.Fatalf("adopted virt %v/%v, serial %v/%v", *aDone, adopted.Now(), *sDone, serial.Now())
-	}
-}
-
 func TestShardedCrossShardDeadlock(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	ev := NewEvent(s.Kernel(1))
@@ -176,37 +133,37 @@ func TestShardedCrossShardDeadlock(t *testing.T) {
 }
 
 func TestShardedRunFor(t *testing.T) {
-	// RunFor on an adopted kernel must stop the window loop exactly where
-	// the serial kernel would stop.
-	run := func(adopt bool) (ticks int) {
-		k := NewKernel()
-		if adopt {
-			Adopt(k, 2, time.Microsecond)
-		}
+	// A Stop on one shard must end the window loop exactly where the serial
+	// kernel's RunFor stops; the other shard finishes its window and halts.
+	const every, horizon = time.Millisecond, 10 * time.Millisecond
+	ticker := func(k *Kernel, ticks *int) {
 		k.SpawnDaemon("ticker", func(p *Proc) {
 			for {
-				p.Sleep(time.Millisecond)
-				ticks++
+				p.Sleep(every)
+				*ticks++
 			}
 		})
-		if err := k.RunFor(10 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return ticks
 	}
-	serial, sharded := run(false), run(true)
-	if serial != sharded || serial == 0 {
-		t.Fatalf("ticks: serial %d, sharded %d", serial, sharded)
-	}
-}
-
-func TestAdoptRejectsDoubleAdoption(t *testing.T) {
+	var serial int
 	k := NewKernel()
-	Adopt(k, 2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("second Adopt did not panic")
-		}
-	}()
-	Adopt(k, 2, 0)
+	ticker(k, &serial)
+	if err := k.RunFor(horizon); err != nil {
+		t.Fatal(err)
+	}
+
+	var ticks [2]int
+	s := NewSharded(2, time.Microsecond)
+	ticker(s.Kernel(0), &ticks[0])
+	ticker(s.Kernel(1), &ticks[1])
+	stop := s.Kernel(0)
+	stop.After(horizon, stop.Stop)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ticks[0] != serial || serial == 0 {
+		t.Fatalf("ticks: serial %d, sharded shard 0 %d", serial, ticks[0])
+	}
+	if ticks[1] != serial+1 || s.Now() != horizon {
+		t.Fatalf("shard 1 ran %d ticks to %v, want %d to %v", ticks[1], s.Now(), serial+1, horizon)
+	}
 }

@@ -131,6 +131,11 @@ func TestPresets(t *testing.T) {
 	if _, err := Preset(k, "summit", 1); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
+	for _, nodes := range []int{0, -1} {
+		if _, err := PresetConfig("thetagpu", nodes); err == nil {
+			t.Errorf("PresetConfig accepted %d nodes", nodes)
+		}
+	}
 }
 
 func TestTable1(t *testing.T) {
