@@ -328,15 +328,11 @@ func BenchmarkExperimentTable1(b *testing.B) {
 	}
 }
 
-// scaleBench runs the 4096-rank hierarchical AllReduce scaling model at a
-// given engine shard count. Virtual time must be identical at every shard
-// count (it is asserted against the serial run in scale_test.go); the
-// ns/op delta between the Shards1 and Shards4 variants is the parallel
-// engine's wall-clock win, which only materializes on multi-core hosts.
-func scaleBench(b *testing.B, shards int) {
-	b.Helper()
+// BenchmarkScale4096AllReduce runs the 4096-rank hierarchical AllReduce
+// scale model; its virtual time is pinned in scale_test.go.
+func BenchmarkScale4096AllReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunScale(experiments.ScaleConfig{Ranks: 4096, Shards: shards})
+		r, err := experiments.RunScale(experiments.ScaleConfig{Ranks: 4096})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,11 +342,3 @@ func scaleBench(b *testing.B, shards int) {
 		virtUS(b, float64(r.VirtTime.Nanoseconds())/1e3)
 	}
 }
-
-// BenchmarkScale4096AllReduceShards1 is the serial baseline for the
-// sharded-engine speedup exhibit.
-func BenchmarkScale4096AllReduceShards1(b *testing.B) { scaleBench(b, 1) }
-
-// BenchmarkScale4096AllReduceShards4 runs the same model partitioned over
-// four scheduler shards on four OS threads.
-func BenchmarkScale4096AllReduceShards4(b *testing.B) { scaleBench(b, 4) }

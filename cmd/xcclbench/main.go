@@ -8,7 +8,7 @@
 //	xcclbench -exp all -parallel 1 # force a serial run
 //	xcclbench -exp fig6 -hier      # hierarchical collectives on the hybrid series
 //	xcclbench -exp fig6 -compile   # compiled plans for the synthesized collectives
-//	xcclbench -scale ranks=4096,shards=4  # parallel-engine scaling sweep
+//	xcclbench -scale ranks=4096    # 4096-rank scale model
 //	xcclbench -list                # enumerate experiment ids
 //
 // Experiment ids follow the paper: table1, fig1a, fig1b, fig3, fig4, fig5,
@@ -47,6 +47,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -57,7 +58,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (or 'all')")
 	scaleFlag := flag.String("scale", "quick",
-		"quick or full (paper-size node counts and sweeps); or ranks=N[,shards=M] to run the scaling sweep instead of exhibits")
+		"quick or full (paper-size node counts and sweeps); or ranks=N to run the scale model instead of exhibits")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallel := flag.Int("parallel", 0, "max experiments in flight (0 = one per CPU, 1 = serial)")
 	metricsFile := flag.String("metrics", "",
@@ -85,20 +86,12 @@ func main() {
 	experiments.SetCompile(*compile)
 
 	if *crash != "" {
-		var rank, step int
-		if _, err := fmt.Sscanf(*crash, "%d@%d", &rank, &step); err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -crash %q (want rank@step, e.g. 3@2)\n", *crash)
-			os.Exit(2)
-		}
-		experiments.SetElasticCrash(rank, step)
+		v := mustParse(crashSpec, "crash", *crash)
+		experiments.SetElasticCrash(v[0], v[1])
 	}
 	if *partition != "" {
-		var cut, heal int
-		if n, err := fmt.Sscanf(*partition, "%d@%d", &cut, &heal); err != nil && n < 1 {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -partition %q (want cut@heal steps, e.g. 2@4)\n", *partition)
-			os.Exit(2)
-		}
-		experiments.SetPartition(cut, heal)
+		v := mustParse(partitionSpec, "partition", *partition)
+		experiments.SetPartition(v[0], v[1])
 	}
 	experiments.SetChaosDeadline(*chaosDeadline)
 
@@ -109,17 +102,12 @@ func main() {
 		return
 	}
 	if *chaos != "" {
-		var seed uint64
-		runs := 0
-		if n, err := fmt.Sscanf(*chaos, "seed=%d,runs=%d", &seed, &runs); err != nil && n < 1 {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -chaos %q (want seed=N[,runs=M])\n", *chaos)
-			os.Exit(2)
-		}
+		v := mustParse(chaosSpec, "chaos", *chaos)
 		var reg *metrics.Registry
 		if *metricsFile != "" {
 			reg = metrics.NewRegistry()
 		}
-		out, err := experiments.RunChaos(seed, runs, reg)
+		out, err := experiments.RunChaos(uint64(v[0]), v[1], reg)
 		fmt.Print(out)
 		if reg != nil {
 			if werr := writeMetrics(reg, *metricsFile); werr != nil {
@@ -134,15 +122,16 @@ func main() {
 		return
 	}
 	if strings.HasPrefix(*scaleFlag, "ranks=") {
-		ranks, maxShards, err := parseScaleSpec(*scaleFlag)
+		ranks, err := parseScaleSpec(*scaleFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
-		if err := runScaleSweep(ranks, maxShards); err != nil {
+		r, err := experiments.RunScale(experiments.ScaleConfig{Ranks: ranks})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
 			os.Exit(1)
 		}
+		fmt.Print(experiments.FormatScaleTable([]experiments.ScaleResult{r}))
 		return
 	}
 	scale := experiments.Quick
@@ -151,8 +140,7 @@ func main() {
 	case "full":
 		scale = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "xcclbench: unknown scale %q (want quick, full, or ranks=N[,shards=M])\n", *scaleFlag)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown scale %q (want quick, full, or ranks=N)", *scaleFlag))
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -210,42 +198,95 @@ func main() {
 	}
 }
 
-// parseScaleSpec parses -scale ranks=N[,shards=M]; both counts must be
-// positive (shards defaults to 1).
-func parseScaleSpec(spec string) (ranks, maxShards int, err error) {
-	maxShards = 1
-	if n, serr := fmt.Sscanf(spec, "ranks=%d,shards=%d", &ranks, &maxShards); serr != nil && n < 1 {
-		return 0, 0, fmt.Errorf("bad -scale %q (want ranks=N[,shards=M])", spec)
-	}
-	if ranks < 1 || maxShards < 1 {
-		return 0, 0, fmt.Errorf("bad -scale %q: ranks and shards must be at least 1", spec)
-	}
-	return ranks, maxShards, nil
+// spec is the grammar of one numeric flag value: its fields in order and
+// the separator between them. Keyed specs spell each field name=N
+// ("seed=7,runs=4"); positional ones give bare numbers ("3@2"). The first
+// required fields must be present; the rest are optional and default to 0.
+type spec struct {
+	sep      string
+	fields   []string
+	keyed    bool
+	required int
 }
 
-// runScaleSweep runs the 4096-rank-class hierarchical AllReduce scaling
-// model once per shard count (powers of two up to maxShards, plus
-// maxShards itself) and prints one wall/virt table. Virtual times must be
-// identical down the column; wall time is where shards pay off on
-// multi-core hosts.
-func runScaleSweep(ranks, maxShards int) error {
-	var counts []int
-	for s := 1; s <= maxShards; s *= 2 {
-		counts = append(counts, s)
+var (
+	scaleSpec     = spec{sep: ",", fields: []string{"ranks"}, keyed: true, required: 1}
+	chaosSpec     = spec{sep: ",", fields: []string{"seed", "runs"}, keyed: true, required: 1}
+	partitionSpec = spec{sep: "@", fields: []string{"cut", "heal"}, required: 2}
+	crashSpec     = spec{sep: "@", fields: []string{"rank", "step"}, required: 2}
+)
+
+// parse returns one value per field. Every value must be a non-negative
+// decimal; trailing text, unknown or missing keys, and extra fields are
+// errors. Range checks beyond that stay with the exhibit the value
+// configures.
+func (s spec) parse(v string) ([]int, error) {
+	parts := strings.Split(v, s.sep)
+	if len(parts) < s.required || len(parts) > len(s.fields) {
+		return nil, fmt.Errorf("want %s", s)
 	}
-	if last := counts[len(counts)-1]; last != maxShards {
-		counts = append(counts, maxShards)
-	}
-	var results []experiments.ScaleResult
-	for _, s := range counts {
-		r, err := experiments.RunScale(experiments.ScaleConfig{Ranks: ranks, Shards: s})
-		if err != nil {
-			return err
+	vals := make([]int, len(s.fields))
+	for i, part := range parts {
+		if s.keyed {
+			var ok bool
+			if part, ok = strings.CutPrefix(part, s.fields[i]+"="); !ok {
+				return nil, fmt.Errorf("want %s", s)
+			}
 		}
-		results = append(results, r)
+		n, err := strconv.ParseUint(part, 10, strconv.IntSize-1)
+		if err != nil {
+			return nil, fmt.Errorf("%s: want a non-negative integer, got %q", s.fields[i], part)
+		}
+		vals[i] = int(n)
 	}
-	fmt.Print(experiments.FormatScaleTable(results))
-	return nil
+	return vals, nil
+}
+
+// String renders the grammar, e.g. "seed=N[,runs=N]" or "rank@step".
+func (s spec) String() string {
+	var b strings.Builder
+	for i, f := range s.fields {
+		if i >= s.required {
+			b.WriteByte('[')
+		}
+		if i > 0 {
+			b.WriteString(s.sep)
+		}
+		if s.keyed {
+			f += "=N"
+		}
+		b.WriteString(f)
+	}
+	b.WriteString(strings.Repeat("]", len(s.fields)-s.required))
+	return b.String()
+}
+
+// mustParse parses a flag value or exits with a usage error.
+func mustParse(s spec, flagName, v string) []int {
+	vals, err := s.parse(v)
+	if err != nil {
+		usage(fmt.Errorf("bad -%s %q: %v", flagName, v, err))
+	}
+	return vals
+}
+
+// usage reports a bad command line and exits 2, as the flag package does.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
+	flag.Usage()
+	os.Exit(2)
+}
+
+// parseScaleSpec parses -scale ranks=N; the model needs at least one rank.
+func parseScaleSpec(v string) (int, error) {
+	vals, err := scaleSpec.parse(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad -scale %q: %v", v, err)
+	}
+	if vals[0] < 1 {
+		return 0, fmt.Errorf("bad -scale %q: ranks must be at least 1", v)
+	}
+	return vals[0], nil
 }
 
 func writeMetrics(reg *metrics.Registry, path string) error {

@@ -37,9 +37,9 @@ import (
 //     callback.
 //
 // Detection is oracle-driven: the fault plan's partition rules are pure
-// time-window functions (fabric.Partitioner), so every rank and every
-// engine shard derives the same verdict at the same virtual time — the
-// property the cross-shard determinism tests pin. The heartbeat detector
+// time-window functions (fabric.Partitioner), so every rank derives the
+// same verdict at the same virtual time — the property the partition
+// determinism tests pin. The heartbeat detector
 // observes cuts too ("partitioned" suspicion outcome) but never converts
 // them into death verdicts: a severed peer is alive.
 

@@ -14,7 +14,7 @@ import (
 // with the other fault exhibits.
 const partitionSeed = 0xcafe
 
-// partitionOverride is the CLI's `-partition cutStep:healStep` hook; zero
+// partitionOverride is the CLI's `-partition cut@heal` hook; zero
 // values mean "use the exhibit's defaults".
 var partitionOverride struct{ cutStep, healStep int }
 

@@ -1,11 +1,8 @@
-// Scale model: a hierarchical AllReduce at thousands of ranks, built
-// directly on the sharded simulation engine. Unlike the paper exhibits —
-// whose worlds share Go state freely across ranks and therefore run on one
-// shard — this model is partitioned from the ground up: every node's
-// processes, buffers, fabric pools, and fault state live on the shard that
-// owns the node (topology.Partition, node-aligned), and the only cross-shard
-// interaction is the leader ring's inter-node hop, carried as timestamped
-// engine injections priced by the pure α–β formula (fabric.Sharded.InterTime).
+// Scale model: a hierarchical AllReduce at thousands of ranks on one
+// simulation kernel. Unlike the paper exhibits it does not run the CCL
+// stack: every node's processes drive the fabric directly, and the leader
+// ring's inter-node hop is priced by the pure α–β formula
+// (fabric.HopTime) and delivered as a timed kernel event.
 //
 // The collective is the PR 5 hierarchical decomposition writ large:
 //
@@ -13,11 +10,9 @@
 //
 // Payload bytes are not moved: each rank carries a uint64 digest
 // (splitmix64 of its world rank) and the full message cost is priced on the
-// links — a staged first hop through the shard-local fabric's contention
-// pools plus the pipelined remainder at channel rate. Every rank's final
-// digest must equal the closed-form sum over all ranks, which proves
-// cross-shard delivery end to end; the virtual clock must agree bit-exactly
-// at every shard count, which the determinism tests assert.
+// links — a staged first hop through the fabric's contention pools plus the
+// pipelined remainder at channel rate. Every rank's final digest must equal
+// the closed-form sum over all ranks, which proves ring delivery end to end.
 package experiments
 
 import (
@@ -40,8 +35,6 @@ type ScaleConfig struct {
 	// Ranks is the total device count; must be a multiple of the preset's
 	// devices per node. Default 4096.
 	Ranks int
-	// Shards is the engine partition width; default 1 (serial).
-	Shards int
 	// Bytes is the modeled per-rank message size; default 4 MiB.
 	Bytes int64
 	// StageBytes is the staging-buffer granularity for intra-node hops;
@@ -50,15 +43,12 @@ type ScaleConfig struct {
 	StageBytes int64
 	// Seed salts the per-rank digests. Default 1.
 	Seed uint64
-	// Faults, when set, is called once per shard and must return
-	// identically-parameterized fault plans (state is shard-local; rules on
-	// cross-shard links must be pure time-window rules — see
-	// docs/ARCHITECTURE.md "Parallel simulation"). Crash rules target
-	// global node indices (the ring leaders); link/corrupt rules use class
-	// "inter" with global node indices; partition rules must be node-scoped
-	// (Nodes, global indices) with Probability 0 — the ring consults only
-	// the pure Severed/PartitionedUntil window queries.
-	Faults func(shard int) *fault.Plan
+	// Faults, when set, injects faults into the leader ring. Crash rules
+	// target node indices (the ring leaders); link and corrupt rules use
+	// class "inter" with node indices; partition rules must be node-scoped
+	// (Nodes) — the ring consults only the Severed/PartitionedUntil window
+	// queries.
+	Faults *fault.Plan
 	// DetectTimeout arms the ring-receive watchdog when Faults is set;
 	// default 2ms.
 	DetectTimeout time.Duration
@@ -66,11 +56,11 @@ type ScaleConfig struct {
 
 // ScaleResult is the outcome of one scale-model run.
 type ScaleResult struct {
-	System               string
-	Ranks, Nodes, Shards int
-	Bytes                int64
-	// VirtTime is the virtual completion time (identical across shard
-	// counts); Wall is the host wall-clock the run took.
+	System       string
+	Ranks, Nodes int
+	Bytes        int64
+	// VirtTime is the virtual completion time; Wall is the host wall-clock
+	// the run took.
 	VirtTime time.Duration
 	Wall     time.Duration
 	// OK reports that every rank converged to the closed-form digest.
@@ -107,9 +97,8 @@ type ringMsg struct {
 	valid bool
 }
 
-// shardStats are per-shard fault counters, merged in shard order after the
-// run (each instance is touched only by its shard's processes).
-type shardStats struct {
+// scaleStats are the run's fault counters.
+type scaleStats struct {
 	timeouts    int
 	degraded    int
 	detected    int
@@ -118,11 +107,10 @@ type shardStats struct {
 	dropped     int
 	severed     int
 	crashed     []int
-	// finish is the latest p.Now() observed by any of this shard's
-	// processes. The result's VirtTime is the max across shards: measuring
-	// inside processes (per the sim timeout contract) keeps the number
-	// independent of stale-watchdog clock drift, which varies with
-	// same-instant tie order and hence with the shard count.
+	// finish is the latest p.Now() observed by any process: the result's
+	// VirtTime. Measuring inside processes (per the sim timeout contract)
+	// leaves out the watchdog timers of receives that already completed,
+	// which still fire and advance the drained kernel clock.
 	finish sim.Time
 }
 
@@ -142,9 +130,6 @@ func (c *ScaleConfig) fillDefaults() {
 	if c.Ranks == 0 {
 		c.Ranks = 4096
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 	if c.Bytes == 0 {
 		c.Bytes = 4 << 20
 	}
@@ -162,8 +147,8 @@ func (c *ScaleConfig) fillDefaults() {
 // RunScale executes the scale model and reports the result.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	cfg.fillDefaults()
-	if cfg.Ranks < 0 || cfg.Shards < 0 {
-		return ScaleResult{}, fmt.Errorf("scale: negative ranks %d or shards %d", cfg.Ranks, cfg.Shards)
+	if cfg.Ranks < 0 {
+		return ScaleResult{}, fmt.Errorf("scale: negative ranks %d", cfg.Ranks)
 	}
 	tcfg, err := topology.PresetConfig(cfg.System, 1)
 	if err != nil {
@@ -174,28 +159,17 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		return ScaleResult{}, fmt.Errorf("scale: %d ranks not a multiple of %s's %d devices/node", cfg.Ranks, cfg.System, dpn)
 	}
 	nodes := cfg.Ranks / dpn
-	part := topology.PartitionNodes(nodes, cfg.Shards)
-	eng := sim.NewSharded(part.Shards, part.Lookahead(tcfg.Inter))
-	tcfg.NumNodes = nodes // NewSharded fabric re-slices per shard
-	sf := fabric.NewSharded(eng, tcfg, part)
+	tcfg.NumNodes = nodes
+	k := sim.NewKernel()
+	sys := topology.Build(k, tcfg)
+	fab := fabric.New(k, sys)
 
-	// Shared arrays indexed by global rank / node. Disjoint index ranges per
-	// shard: element i is touched only by processes of the shard owning it,
-	// so there is no cross-thread sharing; the final read happens after
-	// engine.Run returns.
 	acc := make([]uint64, cfg.Ranks) // per-rank digest accumulator
 	accOK := make([]bool, cfg.Ranks) // validity (taint) flag
 	mail := make([]*sim.Chan[ringMsg], nodes)
-	stats := make([]*shardStats, part.Shards)
-	plans := make([]*fault.Plan, part.Shards)
-	for s := 0; s < part.Shards; s++ {
-		stats[s] = &shardStats{}
-		if cfg.Faults != nil {
-			plans[s] = cfg.Faults(s)
-		}
-	}
+	var st scaleStats
 	for g := 0; g < nodes; g++ {
-		mail[g] = sim.NewChan[ringMsg](eng.Kernel(part.ShardOf(g)), 8)
+		mail[g] = sim.NewChan[ringMsg](k, 8)
 	}
 
 	// Binomial-tree levels covering dpn devices.
@@ -205,7 +179,7 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	}
 
 	// intraHop prices one full-message device-to-device hop inside a node:
-	// the first stage goes through the shard-local fabric (α + contention
+	// the first stage goes through the fabric (α + contention
 	// pools), the remainder is a pipelined tail at channel rate.
 	intra := tcfg.Intra
 	intraCh := intra.DirChannels
@@ -214,12 +188,7 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 
 	for g := 0; g < nodes; g++ {
 		g := g
-		sh := part.ShardOf(g)
-		k := eng.Kernel(sh)
-		fab := sf.Fabric(sh)
-		plan := plans[sh]
-		local := part.LocalNode(g)
-		devs := sf.System(sh).Nodes[local].Devices
+		devs := sys.Nodes[g].Devices
 		stage := make([]*device.Buffer, dpn)
 		for d := 0; d < dpn; d++ {
 			stage[d] = devs[d].MustMalloc(cfg.StageBytes)
@@ -273,8 +242,7 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 					sent[d].Fire()
 				} else {
 					// Phase 2: device 0 is the node leader on the ring.
-					runScaleRing(p, eng, sf, &cfg, g, nodes, sh, mail, stats, plan,
-						&acc[rank], &accOK[rank])
+					runScaleRing(p, &cfg, tcfg.Inter, g, nodes, mail, &st, &acc[rank], &accOK[rank])
 				}
 				// Phase 3: binomial fan-out of the reduced digest.
 				if d != 0 {
@@ -290,28 +258,24 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 					accOK[g*dpn+partner] = accOK[rank]
 					ready[partner].Fire()
 				}
-				if t := p.Now(); t > stats[sh].finish {
-					stats[sh].finish = t
+				if t := p.Now(); t > st.finish {
+					st.finish = t
 				}
 			})
 		}
 	}
 
-	if err := eng.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		return ScaleResult{}, err
 	}
 
 	res := ScaleResult{
-		System: cfg.System, Ranks: cfg.Ranks, Nodes: nodes, Shards: part.Shards,
-		Bytes: cfg.Bytes, Wall: time.Since(start),
-	}
-	// VirtTime is the latest process-observed instant, not eng.Now(): the
-	// drained clock includes stale watchdog timers whose presence depends on
-	// same-instant tie order, which varies with the shard count.
-	for _, st := range stats {
-		if st.finish > res.VirtTime {
-			res.VirtTime = st.finish
-		}
+		System: cfg.System, Ranks: cfg.Ranks, Nodes: nodes, Bytes: cfg.Bytes,
+		VirtTime: st.finish, Wall: time.Since(start),
+		Timeouts: st.timeouts, Degraded: st.degraded,
+		CorruptionsDetected: st.detected, Retransmits: st.retransmits,
+		Unrecovered: st.unrecovered, Dropped: st.dropped, Severed: st.severed,
+		Crashed: st.crashed,
 	}
 	var want uint64
 	for r := 0; r < cfg.Ranks; r++ {
@@ -323,37 +287,20 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		}
 	}
 	res.OK = res.BadRanks == 0
-	for _, st := range stats {
-		res.Timeouts += st.timeouts
-		res.Degraded += st.degraded
-		res.CorruptionsDetected += st.detected
-		res.Retransmits += st.retransmits
-		res.Unrecovered += st.unrecovered
-		res.Dropped += st.dropped
-		res.Severed += st.severed
-		res.Crashed = append(res.Crashed, st.crashed...)
-	}
 	return res, nil
 }
 
 // runScaleRing runs one leader's part of the inter-node ring: 2(N-1) steps
 // of chunked sends, the first N-1 of which accumulate the global digest.
-// Every hop — same-shard or not — goes through engine injection with
-// identical α–β pricing, so virtual times and tie order are independent of
-// the shard count.
-func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleConfig,
-	g, nodes, sh int, mail []*sim.Chan[ringMsg], stats []*shardStats, plan *fault.Plan,
-	acc *uint64, accOK *bool) {
+// Every hop is priced by fabric.HopTime over the inter-node link and
+// delivered as a timed kernel event.
+func runScaleRing(p *sim.Proc, cfg *ScaleConfig, inter topology.Link,
+	g, nodes int, mail []*sim.Chan[ringMsg], st *scaleStats, acc *uint64, accOK *bool) {
 	if nodes == 1 {
 		return
 	}
-	st := stats[sh]
+	plan := cfg.Faults
 	next := (g + 1) % nodes
-	nextShard := sf.Partition().ShardOf(next)
-	// Drops are counted on the receiving shard: the injection callback runs
-	// on the destination kernel's thread, so it must only touch that
-	// shard's state.
-	dstStats := stats[nextShard]
 	chunk := cfg.Bytes / int64(nodes)
 	if chunk < 1 {
 		chunk = 1
@@ -375,8 +322,8 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 		// and the downstream receive times out — or, when the cut heals,
 		// the NIC holds the chunk and delivers it after the heal. The
 		// sender does not block (its own mailbox keeps draining); held
-		// chunks are staggered a full hop apart so their arrival order and
-		// the receiver's drain rate are deterministic at any shard count.
+		// chunks are staggered a full hop apart so they arrive in order at
+		// the receiver's drain rate.
 		lost, healAt := false, time.Duration(0)
 		if plan != nil && plan.Severed(g, next, p.Now()) {
 			st.severed++
@@ -390,14 +337,13 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 		// known dead (pure liveness query; models the NIC's peer-down state).
 		if !lost && (plan == nil || !plan.RankDead(next, p.Now())) {
 			var lf fabric.LinkFault
-			degraded := false
 			if plan != nil {
-				lf, degraded = plan.DegradedLink("inter", g, next, p.Now())
-				if degraded {
+				var degraded bool
+				if lf, degraded = plan.DegradedLink("inter", g, next, p.Now()); degraded {
 					st.degraded++
 				}
 			}
-			ser, alpha := sf.InterTime(chunk, sf.Inter().DirChannels, lf, degraded)
+			ser, alpha := fabric.HopTime(inter, chunk, inter.DirChannels, lf)
 			p.Sleep(ser)
 			valid := cvalid
 			if plan != nil {
@@ -427,12 +373,12 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 					deliver = d
 				}
 			}
-			eng.Inject(sh, nextShard, deliver, func() {
+			p.Kernel().After(deliver-p.Now(), func() {
 				// A stalled (ring-broken) peer may stop draining its
 				// mailbox; dropping models the NIC discarding to a hung
 				// receiver and is deterministic in virtual time.
 				if !dst.TrySend(msg) {
-					dstStats.dropped++
+					st.dropped++
 				}
 			})
 		}
@@ -461,19 +407,19 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 	*acc, *accOK = sum, sumOK && alive
 }
 
-// FormatScaleTable renders a ranks × shards sweep as the CLI table.
+// FormatScaleTable renders scale-model runs as the CLI table.
 func FormatScaleTable(results []ScaleResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Scale: hierarchical AllReduce sweep (%s)\n", results[0].System)
-	fmt.Fprintf(&b, "%8s %8s %8s %12s %14s %12s %8s\n",
-		"ranks", "nodes", "shards", "msg", "virt-time", "wall", "check")
+	fmt.Fprintf(&b, "# Scale: hierarchical AllReduce (%s)\n", results[0].System)
+	fmt.Fprintf(&b, "%8s %8s %12s %14s %12s %8s\n",
+		"ranks", "nodes", "msg", "virt-time", "wall", "check")
 	for _, r := range results {
 		check := "ok"
 		if !r.OK {
 			check = fmt.Sprintf("BAD:%d", r.BadRanks)
 		}
-		fmt.Fprintf(&b, "%8d %8d %8d %12s %14v %12v %8s\n",
-			r.Ranks, r.Nodes, r.Shards, fmtBytes(r.Bytes), r.VirtTime,
+		fmt.Fprintf(&b, "%8d %8d %12s %14v %12v %8s\n",
+			r.Ranks, r.Nodes, fmtBytes(r.Bytes), r.VirtTime,
 			r.Wall.Round(time.Millisecond), check)
 	}
 	return b.String()

@@ -18,76 +18,120 @@ import (
 	"mpixccl/internal/topology"
 )
 
-// stripWall zeroes the fields that legitimately differ between a serial and
-// a sharded run of the same model — host wall time and the shard count
-// itself — so everything else can compare exactly.
+// stripWall zeroes the host wall time, the one field that differs between
+// two runs of the same model.
 func stripWall(r ScaleResult) ScaleResult {
 	r.Wall = 0
-	r.Shards = 0
 	return r
 }
 
-func TestScaleDeterministicAcrossShards(t *testing.T) {
-	base, err := RunScale(ScaleConfig{Ranks: 128, Bytes: 256 << 10})
+// virt parses a virtual-time literal as the result table prints it.
+func virt(s string) time.Duration {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// runScaleTwice runs the model twice from fresh configs (a fault plan
+// carries state, so each run needs its own) and fails unless the two runs
+// agree in every field but wall time.
+func runScaleTwice(t *testing.T, mk func() ScaleConfig) ScaleResult {
+	t.Helper()
+	first, err := RunScale(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
+	second, err := RunScale(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stripWall(second), stripWall(first); !reflect.DeepEqual(got, want) {
+		t.Errorf("second run: %+v\nfirst: %+v", got, want)
+	}
+	return stripWall(first)
+}
+
+// scale128 is the 128-rank, 256 KiB thetagpu result the fault cases start
+// from; each case overrides the fields its faults change.
+func scale128(virtTime string) ScaleResult {
+	return ScaleResult{System: "thetagpu", Ranks: 128, Nodes: 16, Bytes: 256 << 10,
+		VirtTime: virt(virtTime), OK: true}
+}
+
+// TestScaleDeterministicAcrossShards pins the fault-free model: two runs
+// agree, and the results match the literal values at 128 and 4096 ranks.
+func TestScaleDeterministicAcrossShards(t *testing.T) {
+	base := runScaleTwice(t, func() ScaleConfig { return ScaleConfig{Ranks: 128, Bytes: 256 << 10} })
 	if !base.OK || base.VirtTime == 0 {
 		t.Fatalf("serial run: %+v", base)
 	}
-	for _, shards := range []int{2, 4, 8} {
-		r, err := RunScale(ScaleConfig{Ranks: 128, Bytes: 256 << 10, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := stripWall(r), stripWall(base); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: %+v\nserial: %+v", shards, got, want)
-		}
+	if want := scale128("125.58µs"); !reflect.DeepEqual(base, want) {
+		t.Errorf("128 ranks: %+v\nwant: %+v", base, want)
+	}
+	// The default 4096-rank, 4 MiB model, once: the 128-rank pair above
+	// already covers run-to-run determinism.
+	r, err := RunScale(ScaleConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ScaleResult{System: "thetagpu", Ranks: 4096, Nodes: 512, Bytes: 4 << 20,
+		VirtTime: virt("3.230306ms"), OK: true}
+	if got := stripWall(r); !reflect.DeepEqual(got, want) {
+		t.Errorf("4096 ranks: %+v\nwant: %+v", got, want)
 	}
 }
 
 func TestScaleAcrossSystems(t *testing.T) {
 	// Every preset (including non-power-of-two devices per node) must pass
-	// the digest check at multiple shard counts.
-	for _, sys := range []string{"thetagpu", "mri", "voyager", "aurora"} {
-		dpn := map[string]int{"thetagpu": 8, "mri": 2, "voyager": 8, "aurora": 6}[sys]
-		ranks := 16 * dpn
-		base, err := RunScale(ScaleConfig{System: sys, Ranks: ranks, Bytes: 64 << 10})
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
+	// the digest check and reproduce its virtual time.
+	for _, tc := range []struct {
+		sys  string
+		dpn  int
+		virt string
+	}{
+		{"thetagpu", 8, "95.745µs"},
+		{"mri", 2, "125.293µs"},
+		{"voyager", 8, "319.74µs"},
+		{"aurora", 6, "86.673µs"},
+	} {
+		cfg := ScaleConfig{System: tc.sys, Ranks: 16 * tc.dpn, Bytes: 64 << 10}
+		r := runScaleTwice(t, func() ScaleConfig { return cfg })
+		if !r.OK {
+			t.Fatalf("%s: digest check failed: %+v", tc.sys, r)
 		}
-		if !base.OK {
-			t.Fatalf("%s: digest check failed: %+v", sys, base)
-		}
-		sharded, err := RunScale(ScaleConfig{System: sys, Ranks: ranks, Bytes: 64 << 10, Shards: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if got, want := stripWall(sharded), stripWall(base); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s shards=4: %+v\nserial: %+v", sys, got, want)
+		want := ScaleResult{System: tc.sys, Ranks: cfg.Ranks, Nodes: 16, Bytes: cfg.Bytes,
+			VirtTime: virt(tc.virt), OK: true}
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("%s: %+v\nwant: %+v", tc.sys, r, want)
 		}
 	}
 }
 
-// TestScaleFaultDeterminism is the cross-shard fault-injection contract:
-// crash, brownout, and corrupt rules firing on cross-shard links must
-// produce identical verdicts and counters at 1 and 4 shards. Rules are pure
-// time-window rules (no probabilities, no call budgets on cross-links), the
-// class the parallel engine guarantees order-independence for.
+// TestScaleFaultDeterminism is the ring's fault-injection contract: crash,
+// brownout, and corrupt rules on the inter-node ring must produce the same
+// verdicts and counters on every run, and the pinned values below.
 func TestScaleFaultDeterminism(t *testing.T) {
 	const us = time.Microsecond
 	cases := []struct {
 		name   string
-		faults func(shard int) *fault.Plan
+		faults func() *fault.Plan
+		want   ScaleResult
 		check  func(t *testing.T, r ScaleResult)
 	}{
 		{
 			name: "crash",
-			faults: func(shard int) *fault.Plan {
+			faults: func() *fault.Plan {
 				return fault.NewPlan(42).AddRule(fault.Rule{
 					Name: "leader5-dies", Ranks: []int{5}, From: 50 * us, Crash: true,
 				})
 			},
+			want: func() ScaleResult {
+				r := scale128("2.11198ms")
+				r.OK, r.BadRanks, r.Crashed, r.Timeouts = false, 128, []int{5}, 15
+				return r
+			}(),
 			check: func(t *testing.T, r ScaleResult) {
 				if len(r.Crashed) != 1 || r.Crashed[0] != 5 {
 					t.Errorf("crashed = %v, want [5]", r.Crashed)
@@ -99,13 +143,18 @@ func TestScaleFaultDeterminism(t *testing.T) {
 		},
 		{
 			name: "brownout",
-			faults: func(shard int) *fault.Plan {
+			faults: func() *fault.Plan {
 				return fault.NewPlan(42).AddLinkRule(fault.LinkRule{
 					Name: "inter-brownout", Link: "inter",
 					From: 30 * us, Until: 70 * us,
 					BWScale: 0.25, AlphaScale: 3,
 				})
 			},
+			want: func() ScaleResult {
+				r := scale128("156.38µs")
+				r.Degraded = 64
+				return r
+			}(),
 			check: func(t *testing.T, r ScaleResult) {
 				if r.Degraded == 0 {
 					t.Error("brownout window never hit a ring send")
@@ -117,12 +166,18 @@ func TestScaleFaultDeterminism(t *testing.T) {
 		},
 		{
 			name: "corrupt",
-			faults: func(shard int) *fault.Plan {
+			faults: func() *fault.Plan {
 				return fault.NewPlan(42).AddCorruptRule(fault.CorruptRule{
 					Name: "node7-flaky-nic", Link: "inter", Nodes: []int{7},
 					From: 40 * us, Until: 55 * us,
 				})
 			},
+			want: func() ScaleResult {
+				r := scale128("139.18µs")
+				r.OK, r.BadRanks = false, 64
+				r.CorruptionsDetected, r.Retransmits, r.Unrecovered = 10, 8, 2
+				return r
+			}(),
 			check: func(t *testing.T, r ScaleResult) {
 				if r.CorruptionsDetected == 0 || r.Retransmits == 0 {
 					t.Errorf("corrupt window never fired: %+v", r)
@@ -132,43 +187,42 @@ func TestScaleFaultDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ScaleConfig{Ranks: 128, Bytes: 256 << 10, Faults: tc.faults}
-			serial, err := RunScale(cfg)
-			if err != nil {
-				t.Fatal(err)
+			r := runScaleTwice(t, func() ScaleConfig {
+				return ScaleConfig{Ranks: 128, Bytes: 256 << 10, Faults: tc.faults()}
+			})
+			if !reflect.DeepEqual(r, tc.want) {
+				t.Errorf("%+v\nwant: %+v", r, tc.want)
 			}
-			cfg.Shards = 4
-			sharded, err := RunScale(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := stripWall(sharded), stripWall(serial); !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=4: %+v\nserial: %+v", got, want)
-			}
-			tc.check(t, serial)
+			tc.check(t, r)
 		})
 	}
 }
 
-// TestScalePartitionDeterminism extends the cross-shard fault contract to
+// TestScalePartitionDeterminism extends the ring's fault contract to
 // partition rules: a node-scoped cut on the leader ring must produce the
-// same severed counts, verdicts, and virtual clock at 1 and 4 shards. A
-// healing cut delays the ring but completes OK; a permanent cut breaks it.
+// same severed counts, verdicts, and virtual clock on every run. A healing
+// cut delays the ring but completes OK; a permanent cut breaks it.
 func TestScalePartitionDeterminism(t *testing.T) {
 	const us = time.Microsecond
 	cases := []struct {
 		name   string
-		faults func(shard int) *fault.Plan
+		faults func() *fault.Plan
+		want   ScaleResult
 		check  func(t *testing.T, r ScaleResult)
 	}{
 		{
 			name: "heal",
-			faults: func(shard int) *fault.Plan {
+			faults: func() *fault.Plan {
 				return fault.NewPlan(42).AddPartitionRule(fault.PartitionRule{
 					Name: "node7-cut-heals", Nodes: []int{7},
 					From: 40 * us, Until: 120 * us,
 				})
 			},
+			want: func() ScaleResult {
+				r := scale128("202.536µs")
+				r.Severed = 16
+				return r
+			}(),
 			check: func(t *testing.T, r ScaleResult) {
 				if r.Severed == 0 {
 					t.Errorf("cut window never hit a ring send: %+v", r)
@@ -180,11 +234,16 @@ func TestScalePartitionDeterminism(t *testing.T) {
 		},
 		{
 			name: "permanent",
-			faults: func(shard int) *fault.Plan {
+			faults: func() *fault.Plan {
 				return fault.NewPlan(42).AddPartitionRule(fault.PartitionRule{
 					Name: "node7-cut", Nodes: []int{7}, From: 40 * us,
 				})
 			},
+			want: func() ScaleResult {
+				r := scale128("2.10178ms")
+				r.OK, r.BadRanks, r.Timeouts, r.Severed = false, 128, 16, 16
+				return r
+			}(),
 			check: func(t *testing.T, r ScaleResult) {
 				if r.Severed == 0 || r.Timeouts == 0 || r.OK {
 					t.Errorf("permanent cut must break the ring: %+v", r)
@@ -197,20 +256,13 @@ func TestScalePartitionDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ScaleConfig{Ranks: 128, Bytes: 256 << 10, Faults: tc.faults}
-			serial, err := RunScale(cfg)
-			if err != nil {
-				t.Fatal(err)
+			r := runScaleTwice(t, func() ScaleConfig {
+				return ScaleConfig{Ranks: 128, Bytes: 256 << 10, Faults: tc.faults()}
+			})
+			if !reflect.DeepEqual(r, tc.want) {
+				t.Errorf("%+v\nwant: %+v", r, tc.want)
 			}
-			cfg.Shards = 4
-			sharded, err := RunScale(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := stripWall(sharded), stripWall(serial); !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=4: %+v\nserial: %+v", got, want)
-			}
-			tc.check(t, serial)
+			tc.check(t, r)
 		})
 	}
 }
@@ -507,7 +559,6 @@ func TestScaleRejectsUnevenRanks(t *testing.T) {
 	for _, cfg := range []ScaleConfig{
 		{Ranks: 100}, // not a multiple of 8-device nodes
 		{Ranks: -8},
-		{Ranks: 256, Shards: -1},
 	} {
 		if _, err := RunScale(cfg); err == nil {
 			t.Errorf("%+v should be rejected", cfg)
@@ -516,12 +567,12 @@ func TestScaleRejectsUnevenRanks(t *testing.T) {
 }
 
 func TestFormatScaleTable(t *testing.T) {
-	r, err := RunScale(ScaleConfig{Ranks: 64, Bytes: 64 << 10, Shards: 2})
+	r, err := RunScale(ScaleConfig{Ranks: 64, Bytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := FormatScaleTable([]ScaleResult{r})
-	for _, want := range []string{"ranks", "shards", "64KiB", "ok"} {
+	for _, want := range []string{"ranks", "virt-time", "64KiB", "55.295µs", "ok"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

@@ -61,6 +61,49 @@ type LinkFault struct {
 	ChannelCap int
 }
 
+// degrade returns l as priced under lf: α and per-channel bandwidth
+// scaled, and the per-transfer channel limit capped. The zero LinkFault
+// returns l unchanged.
+func (lf LinkFault) degrade(l topology.Link) topology.Link {
+	if lf.AlphaScale > 0 {
+		l.Alpha = time.Duration(float64(l.Alpha) * lf.AlphaScale)
+	}
+	if lf.BWScale > 0 {
+		l.ChannelBW *= lf.BWScale
+	}
+	if lf.ChannelCap > 0 && lf.ChannelCap < l.DirChannels {
+		l.DirChannels = lf.ChannelCap
+	}
+	return l
+}
+
+// grant clamps a requested channel count to [1, max].
+func grant(want, max int) int {
+	if want < 1 {
+		want = 1
+	}
+	if want > max {
+		want = max
+	}
+	return want
+}
+
+// HopTime prices one uncontended n-byte hop over link l under lf, split
+// the way a sender that schedules its own delivery needs it: serialize is
+// the channel-limited wire occupancy, alpha the latency until arrival.
+// serialize+alpha is the α–β price TryTransfer charges for the same hop
+// with no contention. Contention pools are not consulted, so the price is
+// exact for one flow per link direction (a leader ring) and optimistic
+// otherwise.
+func HopTime(l topology.Link, n int64, channels int, lf LinkFault) (serialize, alpha time.Duration) {
+	l = lf.degrade(l)
+	if n <= 0 {
+		return 0, l.Alpha
+	}
+	c := grant(channels, l.DirChannels)
+	return time.Duration(float64(n) / (float64(c) * l.ChannelBW) * float64(time.Second)), l.Alpha
+}
+
 // Degrader is the link-fault hook (implemented by fault.Plan): the fabric
 // consults it per transfer for an active degradation window.
 type Degrader interface {
@@ -394,27 +437,9 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 	if f.partitioner != nil && f.partitioner.Severed(r.srcNode, r.dstNode, start) {
 		return 0, ErrPartitioned
 	}
-	alpha := r.link.Alpha
-	bw := r.link.ChannelBW
-	maxCh := r.link.DirChannels
-	if lf, ok := f.degradedFor(r, start); ok {
-		if lf.AlphaScale > 0 {
-			alpha = time.Duration(float64(alpha) * lf.AlphaScale)
-		}
-		if lf.BWScale > 0 {
-			bw *= lf.BWScale
-		}
-		if lf.ChannelCap > 0 && lf.ChannelCap < maxCh {
-			maxCh = lf.ChannelCap
-		}
-	}
-	want := o.Channels
-	if want < 1 {
-		want = 1
-	}
-	if want > maxCh {
-		want = maxCh
-	}
+	lf, _ := f.degradedFor(r, start)
+	link := lf.degrade(r.link)
+	want := grant(o.Channels, link.DirChannels)
 	chunk := o.ChunkBytes
 	if chunk <= 0 {
 		chunk = DefaultChunk
@@ -423,7 +448,7 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 	// byte copy. Retransmissions (integrity retries) replay it under the
 	// degradation snapshot taken at the transfer's start.
 	xfer := func() {
-		p.Sleep(alpha)
+		p.Sleep(link.Alpha)
 		for off := int64(0); off < n || (n == 0 && off == 0); off += chunk {
 			sz := chunk
 			if off+sz > n {
@@ -449,7 +474,7 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 					granted = g
 				}
 			}
-			p.Sleep(time.Duration(float64(sz) / (float64(granted) * bw) * float64(time.Second)))
+			p.Sleep(time.Duration(float64(sz) / (float64(granted) * link.ChannelBW) * float64(time.Second)))
 			for _, pool := range r.pools {
 				pool.Release(granted)
 			}

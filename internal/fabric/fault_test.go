@@ -95,3 +95,33 @@ func TestDegradedLinkSlowsTransferAndCounts(t *testing.T) {
 		t.Errorf("2-channel cap %v not ≫ 12-channel clean %v", capped, clean)
 	}
 }
+
+// HopTime is the uncontended price TryTransfer charges for the same hop
+// under the same fault: serialize+alpha must equal a one-chunk transfer's
+// virtual time exactly, with and without each degradation.
+func TestHopTimeMatchesTransfer(t *testing.T) {
+	const n, channels = 1 << 20, 12
+	for _, lf := range []LinkFault{
+		{},
+		{BWScale: 0.5},
+		{AlphaScale: 3},
+		{ChannelCap: 2},
+		{BWScale: 0.25, AlphaScale: 3, ChannelCap: 5},
+	} {
+		k, sys, f := setup(1)
+		f.SetFaults(stubDegrader{lf})
+		src := sys.Device(0).MustMalloc(n)
+		dst := sys.Device(1).MustMalloc(n)
+		var got time.Duration
+		k.Spawn("main", func(p *sim.Proc) {
+			got = f.Transfer(p, dst, src, n, Opts{Channels: channels, ChunkBytes: n, NoCopy: true})
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ser, alpha := HopTime(sys.Intra, n, channels, lf)
+		if ser+alpha != got {
+			t.Errorf("%+v: HopTime %v + %v = %v, Transfer took %v", lf, ser, alpha, ser+alpha, got)
+		}
+	}
+}

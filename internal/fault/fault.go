@@ -29,7 +29,7 @@
 // plans with the same seed driving the same simulation fire identically.
 // Partition rules draw their Probability coin once, at AddPartitionRule
 // time — an active cut must answer every Severed query the same way no
-// matter which shard (or rank) asks first.
+// matter which rank asks first.
 package fault
 
 import (
@@ -178,8 +178,8 @@ type PartitionRule struct {
 	From, Until time.Duration
 	// Probability arms the rule with this chance; 0 means always
 	// (deterministic). Unlike per-call rules the coin is drawn once, at
-	// AddPartitionRule time — a cut is a single event, and every shard
-	// and rank must see the same verdict.
+	// AddPartitionRule time — a cut is a single event, and every rank
+	// must see the same verdict.
 	Probability float64
 }
 
@@ -372,7 +372,7 @@ func CheckPartitionRule(r PartitionRule) error {
 // descriptive error if the rule is invalid (use CheckPartitionRule to
 // validate without panicking). The probability coin is drawn here, once —
 // never per query — so the verdict is fixed before the simulation starts
-// and identical across shards. Returns the plan.
+// and identical for every rank. Returns the plan.
 func (p *Plan) AddPartitionRule(r PartitionRule) *Plan {
 	if err := CheckPartitionRule(r); err != nil {
 		panic(err)

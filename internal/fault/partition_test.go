@@ -47,7 +47,7 @@ func TestCheckPartitionRule(t *testing.T) {
 // The probability coin is drawn exactly once, at AddPartitionRule time:
 // the verdict is fixed before any query, identical for every (pair, time)
 // probe order, and reproducible from the seed alone. This is the property
-// that keeps partition verdicts consistent across engine shards.
+// that keeps partition verdicts consistent across ranks.
 func TestPartitionProbabilityDrawnOnceAtAdd(t *testing.T) {
 	rule := PartitionRule{Name: "maybe", Nodes: []int{1}, Probability: 0.5}
 	armed := 0

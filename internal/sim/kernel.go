@@ -131,12 +131,6 @@ type Kernel struct {
 	alive   int
 	running bool
 	stopped bool
-
-	// Window-bounded dispatch (see shard.go): when bounded is set, dispatch
-	// stops before popping any event at or after horizon, leaving the queue
-	// and all parked processes intact for the next window.
-	bounded bool
-	horizon Time
 }
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
@@ -236,9 +230,6 @@ func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 // A true return tells a parking process to wait for its own resume signal.
 func (k *Kernel) dispatch(self *Proc) bool {
 	for !k.stopped && len(k.queue) > 0 {
-		if k.bounded && k.queue[0].at >= k.horizon {
-			break // window exhausted: leave future events for the next window
-		}
 		ev := k.queue.pop()
 		k.now = ev.at
 		if p := ev.proc; p != nil {
@@ -286,27 +277,6 @@ func (k *Kernel) Run() error {
 		return &DeadlockError{Now: k.now, Blocked: k.blockedNames()}
 	}
 	return nil
-}
-
-// runWindow executes events strictly before horizon on the calling goroutine
-// and returns with the queue and parked processes intact. It is the per-shard
-// body of one conservative synchronization window (see shard.go).
-func (k *Kernel) runWindow(horizon Time) {
-	k.running = true
-	k.bounded, k.horizon = true, horizon
-	if k.dispatch(nil) {
-		<-k.idle
-	}
-	k.bounded = false
-	k.running = false
-}
-
-// nextAt reports the fire time of the earliest pending event, if any.
-func (k *Kernel) nextAt() (Time, bool) {
-	if len(k.queue) == 0 {
-		return 0, false
-	}
-	return k.queue[0].at, true
 }
 
 // RunFor executes events until virtual time advances past the given horizon,

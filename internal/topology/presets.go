@@ -85,9 +85,9 @@ func Aurora(k *sim.Kernel, nodes int) *System {
 }
 
 // PresetConfig returns the build configuration for a named system without
-// instantiating it. Callers that partition a cluster across simulation
-// shards build one sub-system per shard from the same config. It fails for
-// an unknown name or fewer than one node.
+// instantiating it, for callers that read the link parameters or adjust the
+// config before topology.Build. It fails for an unknown name or fewer than
+// one node.
 func PresetConfig(name string, nodes int) (Config, error) {
 	if nodes < 1 {
 		return Config{}, fmt.Errorf("topology: %s needs at least one node, got %d", name, nodes)

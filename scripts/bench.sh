@@ -23,13 +23,8 @@
 #
 #   XCCL_BENCH_TOLERANCE=10 scripts/bench.sh
 #
-# Sharded-engine gate: the Scale4096AllReduce benchmarks measure the
-# partitioned event engine's wall-clock speedup. On hosts with 4+ CPUs the
-# Shards4 variant must run >= XCCL_BENCH_SPEEDUP x faster (default 2.5)
-# than Shards1; on smaller hosts the gate is skipped loudly (the shards
-# serialize onto the same core and no speedup is physically possible). The
-# host's CPU count is recorded in the JSON as "cpus" so a baseline's
-# speedup numbers can be read in context.
+# The host's CPU count is recorded in the JSON as "cpus" so a baseline's
+# wall-clock numbers can be read in context.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,7 +33,6 @@ bench=${2:-.}
 benchtime=${3:-4x}
 baseline=${XCCL_BENCH_BASELINE:-BENCH_pr8.json}
 tolerance=${XCCL_BENCH_TOLERANCE:-2}
-speedup_want=${XCCL_BENCH_SPEEDUP:-2.5}
 cpus=$(nproc 2>/dev/null || echo 1)
 
 # ns_op of one benchmark entry in a baseline JSON ('' if absent).
@@ -111,25 +105,6 @@ check_ns Fig7HorovodNvidia "$base_fig7" "$(ns_op "$out" Fig7HorovodNvidia)" || g
 if [ "$gate" != 0 ]; then
 	echo "bench.sh: wall-clock regression beyond ${tolerance}% (set XCCL_BENCH_TOLERANCE to override)" >&2
 	exit 1
-fi
-
-# Sharded-engine speedup gate (see header). Gated on the selector having
-# actually run the scale pair, and on the host having the cores to show it.
-scale1=$(ns_op "$out" Scale4096AllReduceShards1)
-scale4=$(ns_op "$out" Scale4096AllReduceShards4)
-if [ -n "$scale1" ] && [ -n "$scale4" ]; then
-	if [ "$cpus" -ge 4 ]; then
-		awk -v s1="$scale1" -v s4="$scale4" -v want="$speedup_want" 'BEGIN {
-			r = s1 / s4
-			printf "bench.sh: Scale4096AllReduce shards=4 speedup %.2fx (want >= %sx)\n", r, want
-			exit r >= want ? 0 : 1
-		}' || {
-			echo "bench.sh: sharded engine speedup below ${speedup_want}x (set XCCL_BENCH_SPEEDUP to override)" >&2
-			exit 1
-		}
-	else
-		echo "bench.sh: SKIPPING sharded-engine speedup gate: host has $cpus CPU(s), need >= 4 for parallel shards to beat serial"
-	fi
 fi
 
 # Compiled-collective gate: on the Fig 6 multi-node topology the compiler's

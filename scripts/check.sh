@@ -28,17 +28,13 @@ scripts/doclinks.sh
 # under the detector's instrumented allocator). internal/fabric joins for
 # the integrity retransmit loop (corruption probe + CRC verify on shared
 # buffers).
-# internal/sim's suite includes the sharded-engine tests (shard_test.go),
-# whose windows genuinely run shards on separate OS threads — the race
-# detector is the proof that cross-shard traffic only moves through the
-# outbox/flush protocol.
 # internal/ccl/comp is the collective compiler: the plan search is pure,
 # but its lowered programs drive the executor's pipelined primitives, so
 # the IR/cost/search suite joins the race rotation wholesale (it is small).
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp
 # The experiments race leg covers the parallel runner, the chaos soak
 # (short rotation: collective, elastic, and partition schedules), the
-# partition verdicts' reproducibility, and the scale model's cross-shard
+# partition verdicts' reproducibility, and the scale model's
 # fault/partition determinism tests.
 go test -race -run 'TestRunAll|TestChaosShort|TestScale|TestPartitionVerdicts' mpixccl/internal/experiments
 # dl's recovery path (watchdog + shrink + rollback) and the persistent hot
@@ -64,9 +60,8 @@ go test -run '^$' -bench '^BenchmarkFig1aAllreduceCrossover$' -benchtime 1x .
 # six-run rotation — still terminate with every invariant held, inside
 # the per-schedule wall-clock deadline.
 go run ./cmd/xcclbench -chaos seed=7,runs=6 >/dev/null
-# Sharded-engine smoke: one scaling-sweep row keeps the -scale ranks=
-# entry point alive.
-go run ./cmd/xcclbench -scale ranks=256,shards=2 >/dev/null
+# Scale-model smoke: one row keeps the -scale ranks= entry point alive.
+go run ./cmd/xcclbench -scale ranks=256 >/dev/null
 # Compiler smoke: -compile must leave the exhibit pipeline deterministic —
 # two CLI runs of the compiled fig5 grid (the only exhibit with an alltoall
 # column) must be byte-identical (wall-time footer lines excluded). With
