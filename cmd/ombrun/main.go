@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -74,13 +75,11 @@ func main() {
 	}
 	var plan *fault.Plan
 	if *crash != "" {
-		var rank, call int
-		if _, err := fmt.Sscanf(*crash, "%d@%d", &rank, &call); err != nil {
-			fatal(fmt.Errorf("bad -crash %q (want rank@call, e.g. 2@10)", *crash))
+		rule, err := parseCrash(*crash)
+		if err != nil {
+			fatal(err)
 		}
-		plan = fault.NewPlan(1).AddRule(fault.Rule{
-			Name: "fail-stop", Crash: true, Ranks: []int{rank}, After: call,
-		})
+		plan = fault.NewPlan(1).AddRule(rule)
 	}
 	var cut fault.PartitionRule
 	if *partition != "" {
@@ -170,6 +169,18 @@ func writeMetrics(reg *metrics.Registry, path string) error {
 	return f.Close()
 }
 
+// parseCrash parses -crash rank@call into a fail-stop rule: the rank dies
+// after its call-th CCL call.
+func parseCrash(spec string) (fault.Rule, error) {
+	rankStr, callStr, ok := strings.Cut(spec, "@")
+	rank, rerr := count(rankStr)
+	call, cerr := count(callStr)
+	if !ok || rerr != nil || cerr != nil {
+		return fault.Rule{}, fmt.Errorf("bad -crash %q (want rank@call, e.g. 2@10)", spec)
+	}
+	return fault.Rule{Name: "fail-stop", Crash: true, Ranks: []int{rank}, After: call}, nil
+}
+
 // parsePartition parses -partition rank@from[,until] into a rank-scoped
 // PartitionRule (Probability 0 = deterministic fire).
 func parsePartition(spec string) (fault.PartitionRule, error) {
@@ -180,8 +191,8 @@ func parsePartition(spec string) (fault.PartitionRule, error) {
 	if !ok {
 		return bad()
 	}
-	var rank int
-	if _, err := fmt.Sscanf(rankStr, "%d", &rank); err != nil {
+	rank, err := count(rankStr)
+	if err != nil {
 		return bad()
 	}
 	fromStr, untilStr, healed := strings.Cut(window, ",")
@@ -199,6 +210,16 @@ func parsePartition(spec string) (fault.PartitionRule, error) {
 		return fault.PartitionRule{}, fmt.Errorf("-partition %q: %v", spec, err)
 	}
 	return rule, nil
+}
+
+// count parses a whole spec field as a non-negative decimal integer; any
+// other text in the field is an error.
+func count(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative value %d", n)
+	}
+	return n, err
 }
 
 func us(r omb.Result) float64 { return float64(r.Latency.Nanoseconds()) / 1e3 }

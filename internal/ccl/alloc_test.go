@@ -66,6 +66,7 @@ func TestCollectivePoolsReachSteadyState(t *testing.T) {
 	const waves = 10
 	const count = 4096
 	k := sim.NewKernel()
+	t.Cleanup(func() { k.Close() })
 	sys, err := topology.Preset(k, "thetagpu", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ type harness struct {
 func newHarness(t *testing.T, system string, nranks int, mk func(*fabric.Fabric, []*device.Device) ([]*ccl.Comm, error)) *harness {
 	t.Helper()
 	k := sim.NewKernel()
+	t.Cleanup(func() { k.Close() })
 	perNode := map[string]int{"thetagpu": 8, "mri": 2, "voyager": 8}[system]
 	nodes := (nranks + perNode - 1) / perNode
 	sys, err := topology.Preset(k, system, nodes)
@@ -236,6 +237,7 @@ func TestHCCLRejectsNonFloat(t *testing.T) {
 
 func TestBackendDeviceKindChecks(t *testing.T) {
 	k := sim.NewKernel()
+	t.Cleanup(func() { k.Close() })
 	theta := topology.ThetaGPU(k, 1)
 	fab := fabric.New(k, theta)
 	// RCCL cannot drive NVIDIA GPUs.

@@ -42,6 +42,7 @@ var compiledDtypes = []ccl.Datatype{
 func newPermHarness(t *testing.T, system string, nranks int, perm []int) *harness {
 	t.Helper()
 	k := sim.NewKernel()
+	t.Cleanup(func() { k.Close() })
 	perNode := map[string]int{"thetagpu": 8, "mri": 2}[system]
 	nodes := (nranks + perNode - 1) / perNode
 	sys, err := topology.Preset(k, system, nodes)

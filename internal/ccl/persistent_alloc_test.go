@@ -39,6 +39,7 @@ func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
 	const warmWaves = 3
 	const measured = 8
 	k := sim.NewKernel()
+	t.Cleanup(func() { k.Close() })
 	sys, err := topology.Preset(k, "thetagpu", nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -57,6 +57,7 @@ func TestBrokenNCCLBuildFallsBackTransparently(t *testing.T) {
 // A broken build must also fail p2p operations at the CCL level.
 func TestBrokenBuildFailsP2P(t *testing.T) {
 	rt := newRuntime(t, "thetagpu", 2, Options{Backend: Auto, Mode: PureCCL})
+	defer rt.Job().Fabric().Kernel().Close() // the world never runs: end its stream
 	comms, err := ccl.NewComms(rt.Job().Fabric(), rt.Job().Fabric().System().Devices()[:2],
 		nccl.VersionConfig(nccl.BrokenVersion))
 	if err != nil {

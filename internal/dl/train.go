@@ -414,6 +414,7 @@ func launch(cfg *Config, k *sim.Kernel, sys *topology.System, fab *fabric.Fabric
 					poll: cfg.PollOverhead})
 			})
 		}
+		defer k.Close()
 		return k.Run()
 	default:
 		return fmt.Errorf("dl: unknown engine %q", cfg.Engine)

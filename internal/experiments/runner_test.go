@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"mpixccl/internal/leakcheck"
+)
 
 // TestRunAllMatchesSerial pins the parallel runner's determinism contract:
 // because every experiment owns its own simulation kernel, a concurrent run
@@ -35,5 +40,24 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	}
 	if results[1].Err == nil {
 		t.Error("unknown experiment id did not report an error")
+	}
+}
+
+// One process runs exhibits back to back, as xcclbench -exp all does. Each
+// must leave nothing behind once it returns: no goroutine of its worlds and
+// no device memory, whatever ran before it.
+func TestExhibitsFreeTheirWorlds(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, id := range []string{"fig1a", "fig5", "fig7", "fig1a"} {
+		if _, err := Run(id, Quick); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := leakcheck.Check(base, 100); err != nil {
+			t.Fatalf("after %s: %v", id, err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		t.Logf("after %s: %d goroutines (baseline %d), live heap %.1f MB",
+			id, runtime.NumGoroutine(), base, float64(ms.HeapAlloc)/(1<<20))
 	}
 }

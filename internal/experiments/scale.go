@@ -161,6 +161,7 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	nodes := cfg.Ranks / dpn
 	tcfg.NumNodes = nodes
 	k := sim.NewKernel()
+	defer k.Close()
 	sys := topology.Build(k, tcfg)
 	fab := fabric.New(k, sys)
 

@@ -168,11 +168,20 @@ func (j *Job) Launch(fn func(c *Comm)) *sim.Counter {
 	return counter
 }
 
-// Run is the convenience harness: it launches fn on every rank and drives
-// the kernel until the job completes, returning any simulation error.
+// Run is the convenience harness: it launches fn on every rank, drives the
+// kernel until the job completes and then closes it, returning any
+// simulation error. Closing ends the world's parked daemons (device streams,
+// heartbeats, persistent helpers) and any rank a deadlock stranded, so the
+// world's memory is freed once the caller drops it; the kernel cannot run
+// again.
 func (j *Job) Run(fn func(c *Comm)) error {
 	j.Launch(fn)
-	return j.fab.Kernel().Run()
+	k := j.fab.Kernel()
+	err := k.Run()
+	if cerr := k.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // splitPending coordinates a Comm.Split collective across ranks.

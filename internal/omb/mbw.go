@@ -18,6 +18,7 @@ func RunMultiBW(cfg Config, pairs int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.k.Close()
 	perNode := w.sys.DevicesPerNode()
 	if pairs <= 0 {
 		pairs = perNode / 2

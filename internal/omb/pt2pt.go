@@ -42,6 +42,7 @@ func RunPt2Pt(cfg Config, bench Pt2PtKind) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.k.Close()
 	a := w.sys.Device(0)
 	b := w.sys.Device(1)
 	if cfg.Nodes > 1 {

@@ -10,6 +10,7 @@ import (
 // runPureCCLCollective drives the vendor library directly — the dashed
 // "Pure NCCL/MSCCL" lines extracted from OMB's CCL benchmarks.
 func runPureCCLCollective(cfg *Config, w *world, nranks int, body func(d *collDriver)) error {
+	defer w.k.Close()
 	kind, err := core.ResolveBackend(cfg.Backend, w.sys.Device(0).Kind)
 	if err != nil {
 		return err

@@ -130,8 +130,8 @@ func (b *Barrier) Wait(p *Proc) {
 }
 
 // WaitAny blocks p until at least one of the events has fired and returns
-// the index of the first one observed. Events that fire later leave their
-// watcher daemons to drain harmlessly.
+// the index of the first one observed. The watcher daemons of events that
+// never fire stay parked until the world ends; Kernel.Close reaps them.
 func WaitAny(p *Proc, events ...*Event) int {
 	for i, e := range events {
 		if e.Fired() {

@@ -131,15 +131,24 @@ type Kernel struct {
 	alive   int
 	running bool
 	stopped bool
+	closed  bool
 }
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		idle:  make(chan struct{}),
 		procs: make(map[int]*Proc),
 	}
+	if testHookNewKernel != nil {
+		testHookNewKernel(k)
+	}
+	return k
 }
+
+// testHookNewKernel, when set (only by this package's tests), sees every
+// kernel built, so the suite can close them all before its leak check.
+var testHookNewKernel func(*Kernel)
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -173,34 +182,10 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 
 // Spawn creates a new process running fn and schedules its first activation
 // at the current virtual time. It may be called before Run or from inside a
-// running process.
+// running process. On a closed kernel the process is born dead: fn never
+// runs and no goroutine starts.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     k.nextPID,
-		name:   name,
-		resume: make(chan struct{}),
-		done:   NewEvent(k),
-	}
-	k.nextPID++
-	k.procs[p.id] = p
-	k.alive++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		if !p.daemon {
-			k.alive--
-		}
-		delete(k.procs, p.id)
-		p.done.Fire()
-		// The goroutine exits holding the scheduler token: keep dispatching
-		// until the token moves on. Self-activation cannot occur (p is dead,
-		// so stale activations of p are skipped).
-		k.dispatch(p)
-	}()
-	k.scheduleProc(k.now, p)
-	return p
+	return k.spawn(name, fn, false)
 }
 
 // SpawnDaemon creates a background service process. Daemons do not keep the
@@ -208,9 +193,48 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 // daemons remain blocked (e.g. device streams waiting for work) terminates
 // normally. Use daemons for server loops, streams, and progress engines.
 func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
-	p := k.Spawn(name, fn)
-	p.daemon = true
-	k.alive--
+	return k.spawn(name, fn, true)
+}
+
+func (k *Kernel) spawn(name string, fn func(*Proc), daemon bool) *Proc {
+	p := &Proc{
+		k:      k,
+		id:     k.nextPID,
+		name:   name,
+		resume: make(chan struct{}),
+		done:   NewEvent(k),
+		daemon: daemon,
+	}
+	k.nextPID++
+	if k.closed {
+		p.dead = true
+		return p
+	}
+	k.procs[p.id] = p
+	if !daemon {
+		k.alive++
+	}
+	go func() {
+		<-p.resume
+		if !k.closed {
+			p.run(fn)
+		}
+		p.dead = true
+		if !p.daemon {
+			k.alive--
+		}
+		delete(k.procs, p.id)
+		if k.closed {
+			k.idle <- struct{}{} // hand the token back to Close
+			return
+		}
+		p.done.Fire()
+		// The goroutine exits holding the scheduler token: keep dispatching
+		// until the token moves on. Self-activation cannot occur (p is dead,
+		// so stale activations of p are skipped).
+		k.dispatch(p)
+	}()
+	k.scheduleProc(k.now, p)
 	return p
 }
 
@@ -259,8 +283,12 @@ func (k *Kernel) dispatch(self *Proc) bool {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events until the queue drains or Stop is called. It returns a
-// *DeadlockError if processes remain blocked with no pending events.
+// *DeadlockError if processes remain blocked with no pending events, and
+// ErrClosed once the kernel has been closed.
 func (k *Kernel) Run() error {
+	if k.closed {
+		return ErrClosed
+	}
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
 	}

@@ -35,11 +35,19 @@ func (p *Proc) Now() Time { return p.k.now }
 // park blocks the process until another event resumes it. reason is shown in
 // deadlock reports. The parking goroutine keeps the scheduler token and
 // dispatches further events itself; it only blocks on its resume channel
-// when the token moves to another process (see Kernel.dispatch).
+// when the token moves to another process (see Kernel.dispatch). On a
+// closed kernel park never returns: it raises the unwind sentinel, whether
+// the process parks during teardown or is woken by Close (see Kernel.Close).
 func (p *Proc) park(reason string) {
+	if p.k.closed {
+		panic(ErrClosed)
+	}
 	p.blocked = reason
 	if p.k.dispatch(p) {
 		<-p.resume
+		if p.k.closed {
+			panic(ErrClosed)
+		}
 	}
 	p.blocked = ""
 }

@@ -60,6 +60,12 @@ go test -run '^$' -bench '^BenchmarkFig1aAllreduceCrossover$' -benchtime 1x .
 # six-run rotation — still terminate with every invariant held, inside
 # the per-schedule wall-clock deadline.
 go run ./cmd/xcclbench -chaos seed=7,runs=6 >/dev/null
+# Spec smoke: ombrun must refuse a malformed fault spec rather than run the
+# sweep on a silently truncated one.
+if go run ./cmd/ombrun -bench allreduce -crash 2@10junk -max 1024 >/dev/null 2>&1; then
+	echo "check.sh: ombrun accepted the malformed -crash spec 2@10junk" >&2
+	exit 1
+fi
 # Scale-model smoke: one row keeps the -scale ranks= entry point alive.
 go run ./cmd/xcclbench -scale ranks=256 >/dev/null
 # Compiler smoke: -compile must leave the exhibit pipeline deterministic —
